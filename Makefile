@@ -4,7 +4,7 @@
 CARGO ?= cargo
 export CARGO_NET_OFFLINE = true
 
-.PHONY: build test test-all chaos-sweep chaos-experiments trace-replay bench bench-compare profile clean
+.PHONY: build test test-all golden chaos-sweep chaos-experiments trace-replay bench bench-compare profile clean
 
 ## Release build of the whole workspace.
 build:
@@ -18,6 +18,14 @@ test:
 ## Every crate in the workspace, including the chaos and shim crates.
 test-all:
 	$(CARGO) test --workspace -q
+
+## Regenerate the golden digest matrix (tests/golden/digests.txt: every
+## chaos scenario at seeds 1-4) from the current code, then show which
+## lines moved. Only for an intended behaviour change; say in CHANGES.md
+## which lines moved.
+golden:
+	$(CARGO) test -q --test golden -- --ignored regenerate_golden_digests
+	git diff --stat tests/golden/
 
 ## Tier-1 verify, then the deterministic fault-injection sweep over the
 ## CRDT-sync and queue-pipeline scenarios, fanned out across every core
