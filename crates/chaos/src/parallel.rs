@@ -16,7 +16,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::sweep::{Scenario, SeedReport, SweepReport};
+use crate::sweep::{check_seed, Scenario, SweepReport};
 
 /// A worker pool for fanning pure `seed -> result` jobs across cores.
 #[derive(Clone, Copy, Debug)]
@@ -104,24 +104,7 @@ impl ParallelSweep {
     /// semantics (every seed runs twice, replay divergence is a failure)
     /// and a byte-identical [`SweepReport`], just spread across cores.
     pub fn sweep(&self, scenario: &(dyn Scenario + Sync), seeds: &[u64]) -> SweepReport {
-        let results: Vec<SeedReport> = self.map(seeds, |seed| {
-            let first = scenario.run(seed);
-            let second = scenario.run(seed);
-            let mut violations = first.violations.clone();
-            if first.digest != second.digest {
-                violations.push(format!(
-                    "replay divergence at seed {seed}: recorder digests differ \
-                     between two identical runs"
-                ));
-            }
-            if first.bill != second.bill {
-                violations.push(format!(
-                    "replay divergence at seed {seed}: bills differ between two \
-                     identical runs"
-                ));
-            }
-            SeedReport { seed, violations }
-        });
+        let results = self.map(seeds, |seed| check_seed(scenario, seed));
         SweepReport {
             scenario: scenario.name().to_owned(),
             results,

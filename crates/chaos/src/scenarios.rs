@@ -107,18 +107,24 @@ impl Scenario for CrdtSync {
             let states = states.clone();
             let stuck = stuck.clone();
             cloud.sim.spawn(async move {
-                let idx = (r - 1) as usize;
+                let (idx, unbounded) = ((r - 1) as usize, Deadline::unbounded());
                 let my_key = format!("replica-{r}");
                 for step in 0..increments_each {
                     states.borrow_mut()[idx].increment(r, 1);
                     let snapshot = Bytes::from(states.borrow()[idx].encode());
                     // A publish that exhausts its retries is not fatal —
                     // the next step republishes a superseding snapshot.
-                    let _ = kv.put(&host, "crdt", &my_key, snapshot).await;
+                    let _ = kv.put(&host, "crdt", &my_key, snapshot, unbounded).await;
                     let peer = (r + step) % replicas + 1;
                     if peer != r {
                         match kv
-                            .get(&host, "crdt", &format!("replica-{peer}"), Consistency::Eventual)
+                            .get(
+                                &host,
+                                "crdt",
+                                &format!("replica-{peer}"),
+                                Consistency::Eventual,
+                                unbounded,
+                            )
                             .await
                         {
                             Ok(item) => {
@@ -135,7 +141,7 @@ impl Scenario for CrdtSync {
                 // Quiesce: keep publishing + merging until propagated.
                 for _round in 0..20u64 {
                     let snapshot = Bytes::from(states.borrow()[idx].encode());
-                    if kv.put(&host, "crdt", &my_key, snapshot).await.is_err() {
+                    if kv.put(&host, "crdt", &my_key, snapshot, unbounded).await.is_err() {
                         stuck
                             .borrow_mut()
                             .push(format!("replica {r}: quiesce publish exhausted retries"));
@@ -145,7 +151,13 @@ impl Scenario for CrdtSync {
                             continue;
                         }
                         if let Ok(item) = kv
-                            .get(&host, "crdt", &format!("replica-{peer}"), Consistency::Eventual)
+                            .get(
+                                &host,
+                                "crdt",
+                                &format!("replica-{peer}"),
+                                Consistency::Eventual,
+                                unbounded,
+                            )
                             .await
                         {
                             if let Some(other) = GCounter::decode(&item.value.bytes()) {

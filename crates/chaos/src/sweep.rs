@@ -107,29 +107,31 @@ impl fmt::Display for SweepReport {
 /// recorder digests and bills, or the seed fails with a replay-divergence
 /// violation. Determinism is not an aspiration here — it is an invariant.
 pub fn sweep(scenario: &dyn Scenario, seeds: &[u64]) -> SweepReport {
-    let mut results = Vec::with_capacity(seeds.len());
-    for &seed in seeds {
-        let first = scenario.run(seed);
-        let second = scenario.run(seed);
-        let mut violations = first.violations.clone();
-        if first.digest != second.digest {
-            violations.push(format!(
-                "replay divergence at seed {seed}: recorder digests differ \
-                 between two identical runs"
-            ));
-        }
-        if first.bill != second.bill {
-            violations.push(format!(
-                "replay divergence at seed {seed}: bills differ between two \
-                 identical runs"
-            ));
-        }
-        results.push(SeedReport { seed, violations });
-    }
     SweepReport {
         scenario: scenario.name().to_owned(),
-        results,
+        results: seeds.iter().map(|&s| check_seed(scenario, s)).collect(),
     }
+}
+
+/// One seed, run twice: its own violations plus any replay divergence.
+/// The serial and the parallel sweep both call it.
+pub(crate) fn check_seed(scenario: &dyn Scenario, seed: u64) -> SeedReport {
+    let first = scenario.run(seed);
+    let second = scenario.run(seed);
+    let mut violations = first.violations;
+    if first.digest != second.digest {
+        violations.push(format!(
+            "replay divergence at seed {seed}: recorder digests differ \
+             between two identical runs"
+        ));
+    }
+    if first.bill != second.bill {
+        violations.push(format!(
+            "replay divergence at seed {seed}: bills differ between two \
+             identical runs"
+        ));
+    }
+    SeedReport { seed, violations }
 }
 
 #[cfg(test)]

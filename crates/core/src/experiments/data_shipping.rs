@@ -386,7 +386,7 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
             .block_on(async move {
                 for i in 0..objects {
                     if let Err(e) = blob
-                        .put_payload(&host, "logs", &format!("part-{i:05}"), body.clone())
+                        .put(&host, "logs", &format!("part-{i:05}"), body.clone())
                         .await
                     {
                         failures.push(format!("populate part-{i:05}: {e}"));
@@ -414,7 +414,7 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
                     if next >= objects {
                         return Ok(Bytes::new());
                     }
-                    let body = match blob.get(ctx.host(), "logs", &format!("part-{next:05}")).await
+                    let body = match blob.get(ctx.host(), "logs", &format!("part-{next:05}"), Deadline::unbounded()).await
                     {
                         Ok(b) => b,
                         Err(e) => {

@@ -466,7 +466,7 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
         let blob = rblob.clone();
         let host = cloud.client_host();
         if let Err(e) = cloud.sim.block_on(async move {
-            blob.put_payload(&host, "models", "blacklist", Payload::zeros(100_000))
+            blob.put(&host, "models", "blacklist", Payload::zeros(100_000))
                 .await
         }) {
             report.violation(format!("prediction: upload model: {e}"));
@@ -506,7 +506,7 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
                 // failed fetch fails the whole invocation, so the
                 // trigger leaves the batch to be redelivered.
                 match brk
-                    .call(|_: &_| true, blob.get(ctx.host(), "models", "blacklist"))
+                    .call(|_: &_| true, blob.get(ctx.host(), "models", "blacklist", Deadline::unbounded()))
                     .await
                 {
                     Ok(_) => {}

@@ -429,10 +429,10 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
                     let run = async {
                         match medium {
                             Medium::Blob => {
-                                blob.put_payload(ctx.host(), "bench", &key, payload.clone())
+                                blob.put(ctx.host(), "bench", &key, payload.clone())
                                     .await
                                     .map_err(|e| format!("put: {e}"))?;
-                                blob.get(ctx.host(), "bench", &key)
+                                blob.get(ctx.host(), "bench", &key, Deadline::unbounded())
                                     .await
                                     .map_err(|e| format!("get: {e}"))?;
                             }
@@ -442,10 +442,11 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
                                     "bench",
                                     &key,
                                     Bytes::from(payload.to_vec()),
+                                    Deadline::unbounded(),
                                 )
                                 .await
                                 .map_err(|e| format!("put: {e}"))?;
-                                kv.get(ctx.host(), "bench", &key, Consistency::Strong)
+                                kv.get(ctx.host(), "bench", &key, Consistency::Strong, Deadline::unbounded())
                                     .await
                                     .map_err(|e| format!("get: {e}"))?;
                             }
@@ -496,20 +497,20 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
                 let deadline = Deadline::within(&sim, SimDuration::from_secs(60));
                 let done = match medium {
                     Medium::Blob => async {
-                        blob.put_payload(&host, "bench", label, p.clone())
+                        blob.put(&host, "bench", label, p.clone())
                             .await
                             .map_err(|e| e.to_string())?;
-                        blob.get_within(&host, "bench", label, deadline)
+                        blob.get(&host, "bench", label, deadline)
                             .await
                             .map_err(|e| e.to_string())?;
                         Ok::<(), String>(())
                     }
                     .await,
                     Medium::Kv => async {
-                        kv.put_within(&host, "bench", label, Bytes::from(p.to_vec()), deadline)
+                        kv.put(&host, "bench", label, Bytes::from(p.to_vec()), deadline)
                             .await
                             .map_err(|e| e.to_string())?;
-                        kv.get_within(&host, "bench", label, Consistency::Strong, deadline)
+                        kv.get(&host, "bench", label, Consistency::Strong, deadline)
                             .await
                             .map_err(|e| e.to_string())?;
                         Ok::<(), String>(())

@@ -300,7 +300,7 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
         let data = Payload::zeros(batch_bytes as usize);
         if let Err(e) = cloud
             .sim
-            .block_on(async move { blob.put_payload(&host, "training", "batch", data).await })
+            .block_on(async move { blob.put(&host, "training", "batch", data).await })
         {
             report.violation(format!("training: populate batch: {e}"));
         }
@@ -319,7 +319,7 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
             let d = d.clone();
             async move {
                 while d.get() < total_iters {
-                    if let Err(e) = blob.get(ctx.host(), "training", "batch").await {
+                    if let Err(e) = blob.get(ctx.host(), "training", "batch", Deadline::unbounded()).await {
                         return Err(FnError::Handler(format!("batch fetch: {e}")));
                     }
                     ctx.cpu(ref_work).await;

@@ -1,14 +1,17 @@
-//! A retrying client for the gateway, mirroring
-//! [`faasim_resilience::RetryingInvoker`]: typed sheds are backed off
-//! on, and when the shed names the instant capacity returns (a token
-//! refill, a breaker cooldown) the retry never fires earlier than that.
+//! A retrying client for the gateway: one call into
+//! [`RetryPolicy::run_within`], like [`faasim_resilience::RetryingInvoker`].
+//! Typed sheds are backed off on, and when the shed names the instant
+//! capacity returns (a token refill, a breaker cooldown) the classifier
+//! makes it the retry's `not_before`, so the retry never fires earlier.
+//! If that instant never comes, a caller without a deadline gets the
+//! last shed back at once.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use faasim_faas::InvokeOutcome;
 use faasim_payload::Payload;
-use faasim_resilience::{Deadline, RetryError, RetryPolicy};
+use faasim_resilience::{Deadline, RetryError, RetryPolicy, Verdict};
 use faasim_simcore::{Recorder, Sim, SimRng};
 
 use crate::gateway::{Gateway, GatewayError};
@@ -46,6 +49,7 @@ impl RetryingGateway {
 
     /// Invoke `func` for `tenant` through the gateway until it
     /// succeeds, exhausts the policy, or runs out of deadline budget.
+    /// Function errors come back as [`GatewayError::Function`].
     pub async fn invoke(
         &self,
         tenant: u32,
@@ -53,48 +57,25 @@ impl RetryingGateway {
         payload: &Payload,
         deadline: Deadline,
     ) -> Result<InvokeOutcome, RetryError<GatewayError>> {
-        let attempts = self.policy.max_attempts.max(1);
-        let mut last: Option<RetryError<GatewayError>> = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                let mut d = self.policy.delay(attempt - 1, &mut self.rng.borrow_mut());
-                // A typed shed can name when capacity returns; retrying
-                // earlier than that is guaranteed wasted work.
-                if let Some(RetryError::Exhausted { last: e, .. }) = &last {
-                    if let Some(at) = e.retry_after() {
-                        d = d.max(at.duration_since(self.sim.now()));
-                    }
-                }
-                if deadline.remaining(&self.sim) <= d {
-                    return Err(RetryError::DeadlineExceeded { attempts: attempt });
-                }
-                self.sim.sleep(d).await;
+        // A typed shed can name when capacity returns; retrying earlier
+        // than that is guaranteed wasted work.
+        let classify = |e: &GatewayError| {
+            if e.is_transient() {
+                Verdict::Retry { not_before: e.retry_after() }
+            } else {
+                Verdict::Fatal
             }
-            if deadline.is_expired(&self.sim) {
-                return Err(RetryError::DeadlineExceeded { attempts: attempt });
-            }
-            self.recorder.incr("resil.gateway.attempts");
-            match self.gateway.invoke(tenant, func, payload.clone()).await {
-                Ok(out) => match &out.result {
-                    Ok(_) => return Ok(out),
-                    Err(e) if e.is_transient() => {
-                        last = Some(RetryError::Exhausted {
-                            attempts: attempt + 1,
-                            last: GatewayError::Function(e.clone()),
-                        });
-                    }
-                    Err(e) => return Err(RetryError::Fatal(GatewayError::Function(e.clone()))),
-                },
-                Err(e) if e.is_transient() => {
-                    last = Some(RetryError::Exhausted {
-                        attempts: attempt + 1,
-                        last: e,
-                    });
-                }
-                Err(e) => return Err(RetryError::Fatal(e)),
-            }
-        }
-        Err(last.expect("max_attempts >= 1 guarantees one attempt"))
+        };
+        self.policy
+            .run_within(&self.sim, &self.rng, deadline, classify, |_limit| async {
+                self.recorder.incr("resil.gateway.attempts");
+                let admitted = self.gateway.invoke(tenant, func, payload.clone()).await;
+                Some(admitted.and_then(|out| match out.result {
+                    Ok(_) => Ok(out),
+                    Err(e) => Err(GatewayError::Function(e)),
+                }))
+            })
+            .await
     }
 
     /// The wrapped gateway, for probes and non-retried calls.
@@ -214,5 +195,62 @@ mod tests {
             matches!(got, Err(ref e) if e.is_deadline()),
             "a never-refilling bucket must exhaust the deadline budget, got {got:?}"
         );
+    }
+
+    #[test]
+    fn never_refilling_bucket_without_deadline_surfaces_the_shed() {
+        let cloud = Cloud::new(CloudProfile::aws_2018().exact(), 22);
+        cloud.faas.register(FunctionSpec::new(
+            "work",
+            256,
+            SimDuration::from_secs(30),
+            |_ctx, _payload| async move { Ok(Payload::inline("ok")) },
+        ));
+        let mut cfg = GatewayConfig::new(vec![TenantConfig {
+            rate: 0.0,
+            burst: 1.0,
+            ..TenantConfig::default()
+        }]);
+        cfg.overhead = SimDuration::ZERO;
+        let gw = Gateway::new(
+            &cloud.sim,
+            &cloud.faas,
+            cloud.ledger.clone(),
+            cloud.recorder.clone(),
+            &cloud.prices,
+            cfg,
+        );
+        let client = RetryingGateway::new(
+            &cloud.sim,
+            &gw,
+            cloud.recorder.clone(),
+            RetryPolicy { max_attempts: 3, ..RetryPolicy::default() },
+            "gw.retry.test",
+        );
+        let payload = Payload::inline("x");
+        let sim = cloud.sim.clone();
+        let (got, shed_at) = cloud.sim.block_on(async move {
+            client.invoke(0, "work", &payload, Deadline::unbounded()).await.expect("first");
+            let shed_at = sim.now();
+            let got = client
+                .invoke(0, "work", &payload, Deadline::unbounded())
+                .await;
+            (got, shed_at)
+        });
+        // The caller set no deadline, so the loop must not report one:
+        // capacity never returns (retry_at is SimTime::MAX), and the last
+        // shed is the honest answer, given at once.
+        match got {
+            Err(RetryError::Exhausted { attempts: 1, last }) => {
+                assert!(matches!(last, GatewayError::RateLimited { .. }), "{last:?}");
+            }
+            other => panic!("expected the last shed, got {other:?}"),
+        }
+        assert_eq!(
+            cloud.sim.now(),
+            shed_at,
+            "no backoff sleep toward a retry that never comes"
+        );
+        assert_eq!(cloud.recorder.counter("resil.gateway.attempts"), 2);
     }
 }

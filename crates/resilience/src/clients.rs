@@ -5,11 +5,13 @@
 //! Only *transient* errors (KV throttling, blob 503s, crashed or
 //! timed-out invocations, per-call timeouts) are retried; logic errors
 //! such as a missing table or a failed conditional write surface
-//! immediately as [`RetryError::Fatal`]. Every client also takes
-//! deadline-budgeted variants so retry loops cannot outlive the request
+//! immediately as [`RetryError::Fatal`]. Every retried method is one call
+//! into [`RetryPolicy::run_within`], and the reads, writes, sends and
+//! invokes take a [`Deadline`] so retry loops cannot outlive the request
 //! they serve.
 
 use std::cell::RefCell;
+use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -22,17 +24,54 @@ use faasim_queue::{MessageId, QueueError, QueueService, Receipt, ReceivedMessage
 use faasim_simcore::{Recorder, Sim, SimDuration, SimRng};
 
 use crate::deadline::Deadline;
-use crate::retry::{RetryError, RetryPolicy};
+use crate::retry::{raced, RetryError, RetryPolicy, Verdict};
+
+/// What every retrying client holds: the policy, the jitter stream its
+/// clones share, and the recorder its attempts are counted in.
+#[derive(Clone)]
+pub(crate) struct Retrier {
+    pub(crate) sim: Sim,
+    pub(crate) policy: RetryPolicy,
+    pub(crate) rng: Rc<RefCell<SimRng>>,
+    pub(crate) recorder: Recorder,
+}
+
+impl Retrier {
+    /// `label` names the jitter RNG stream, so two clients with
+    /// different labels draw independent jitter.
+    pub(crate) fn new(sim: &Sim, recorder: Recorder, policy: RetryPolicy, label: &str) -> Retrier {
+        Retrier {
+            sim: sim.clone(),
+            policy,
+            rng: Rc::new(RefCell::new(sim.rng(label))),
+            recorder,
+        }
+    }
+
+    /// Retry `op` inside `deadline`, racing each attempt against its
+    /// time limit: for calls a client may abandon (storage, queues).
+    pub(crate) async fn raced<T, E, Fut>(
+        &self,
+        deadline: Deadline,
+        classify: impl Fn(&E) -> Verdict,
+        mut op: impl FnMut() -> Fut,
+    ) -> Result<T, RetryError<E>>
+    where
+        Fut: Future<Output = Result<T, E>>,
+    {
+        let sim = &self.sim;
+        self.policy
+            .run_within(sim, &self.rng, deadline, classify, |limit| raced(sim, limit, op()))
+            .await
+    }
+}
 
 /// A [`KvStore`] client that retries transient failures with the given
 /// policy. Cheap to clone; clones share the jitter RNG stream.
 #[derive(Clone)]
 pub struct RetryingKv {
     kv: KvStore,
-    sim: Sim,
-    policy: RetryPolicy,
-    rng: Rc<RefCell<SimRng>>,
-    recorder: Recorder,
+    retry: Retrier,
 }
 
 impl RetryingKv {
@@ -41,70 +80,52 @@ impl RetryingKv {
     pub fn new(sim: &Sim, kv: &KvStore, recorder: Recorder, policy: RetryPolicy, label: &str) -> RetryingKv {
         RetryingKv {
             kv: kv.clone(),
-            sim: sim.clone(),
-            policy,
-            rng: Rc::new(RefCell::new(sim.rng(label))),
-            recorder,
+            retry: Retrier::new(sim, recorder, policy, label),
         }
     }
 
-    /// Retrying unconditional write. Returns the new version.
+    /// One retried KV call, counted in `chaos.kv.attempts`.
+    async fn retried<T, Fut>(
+        &self,
+        deadline: Deadline,
+        op: impl Fn() -> Fut,
+    ) -> Result<T, RetryError<KvError>>
+    where
+        Fut: Future<Output = Result<T, KvError>>,
+    {
+        let classify = Verdict::when(KvError::is_transient);
+        self.retry
+            .raced(deadline, classify, || {
+                self.retry.recorder.incr("chaos.kv.attempts");
+                op()
+            })
+            .await
+    }
+
+    /// Retrying unconditional write inside `deadline`. Returns the new
+    /// version.
     pub async fn put(
         &self,
         caller: &Host,
         table: &str,
         key: &str,
         value: Bytes,
-    ) -> Result<u64, RetryError<KvError>> {
-        self.put_within(caller, table, key, value, Deadline::unbounded())
-            .await
-    }
-
-    /// [`RetryingKv::put`] inside a deadline budget.
-    pub async fn put_within(
-        &self,
-        caller: &Host,
-        table: &str,
-        key: &str,
-        value: Bytes,
         deadline: Deadline,
     ) -> Result<u64, RetryError<KvError>> {
-        let rec = self.recorder.clone();
-        self.policy
-            .run_within(&self.sim, &self.rng, deadline, KvError::is_transient, || {
-                rec.incr("chaos.kv.attempts");
-                self.kv.put(caller, table, key, value.clone())
-            })
+        self.retried(deadline, || self.kv.put(caller, table, key, value.clone()))
             .await
     }
 
-    /// Retrying read.
+    /// Retrying read inside `deadline`.
     pub async fn get(
         &self,
         caller: &Host,
         table: &str,
         key: &str,
         consistency: Consistency,
-    ) -> Result<Item, RetryError<KvError>> {
-        self.get_within(caller, table, key, consistency, Deadline::unbounded())
-            .await
-    }
-
-    /// [`RetryingKv::get`] inside a deadline budget.
-    pub async fn get_within(
-        &self,
-        caller: &Host,
-        table: &str,
-        key: &str,
-        consistency: Consistency,
         deadline: Deadline,
     ) -> Result<Item, RetryError<KvError>> {
-        let rec = self.recorder.clone();
-        self.policy
-            .run_within(&self.sim, &self.rng, deadline, KvError::is_transient, || {
-                rec.incr("chaos.kv.attempts");
-                self.kv.get(caller, table, key, consistency)
-            })
+        self.retried(deadline, || self.kv.get(caller, table, key, consistency))
             .await
     }
 
@@ -115,12 +136,7 @@ impl RetryingKv {
         table: &str,
         key: &str,
     ) -> Result<(), RetryError<KvError>> {
-        let rec = self.recorder.clone();
-        self.policy
-            .run(&self.sim, &self.rng, KvError::is_transient, || {
-                rec.incr("chaos.kv.attempts");
-                self.kv.delete(caller, table, key)
-            })
+        self.retried(Deadline::unbounded(), || self.kv.delete(caller, table, key))
             .await
     }
 
@@ -134,10 +150,7 @@ impl RetryingKv {
 #[derive(Clone)]
 pub struct RetryingBlob {
     blob: BlobStore,
-    sim: Sim,
-    policy: RetryPolicy,
-    rng: Rc<RefCell<SimRng>>,
-    recorder: Recorder,
+    retry: Retrier,
 }
 
 impl RetryingBlob {
@@ -151,67 +164,51 @@ impl RetryingBlob {
     ) -> RetryingBlob {
         RetryingBlob {
             blob: blob.clone(),
-            sim: sim.clone(),
-            policy,
-            rng: Rc::new(RefCell::new(sim.rng(label))),
-            recorder,
+            retry: Retrier::new(sim, recorder, policy, label),
         }
     }
 
-    /// Retrying object write (PUT is idempotent, so retries are safe).
+    /// One retried blob call, counted in `chaos.blob.attempts`.
+    async fn retried<T, Fut>(
+        &self,
+        deadline: Deadline,
+        op: impl Fn() -> Fut,
+    ) -> Result<T, RetryError<BlobError>>
+    where
+        Fut: Future<Output = Result<T, BlobError>>,
+    {
+        let classify = Verdict::when(BlobError::is_transient);
+        self.retry
+            .raced(deadline, classify, || {
+                self.retry.recorder.incr("chaos.blob.attempts");
+                op()
+            })
+            .await
+    }
+
+    /// Retrying write of an object, inline bytes or a symbolic
+    /// [`Payload`] (PUT is idempotent, so retries are safe).
     pub async fn put(
         &self,
         caller: &Host,
         bucket: &str,
         key: &str,
-        data: Bytes,
+        data: impl Into<Payload>,
     ) -> Result<(), RetryError<BlobError>> {
-        self.put_payload(caller, bucket, key, Payload::inline(data))
+        let data = data.into();
+        self.retried(Deadline::unbounded(), || self.blob.put(caller, bucket, key, data.clone()))
             .await
     }
 
-    /// Retrying write of a (possibly symbolic) [`Payload`].
-    pub async fn put_payload(
-        &self,
-        caller: &Host,
-        bucket: &str,
-        key: &str,
-        data: Payload,
-    ) -> Result<(), RetryError<BlobError>> {
-        let rec = self.recorder.clone();
-        self.policy
-            .run(&self.sim, &self.rng, BlobError::is_transient, || {
-                rec.incr("chaos.blob.attempts");
-                self.blob.put(caller, bucket, key, data.clone())
-            })
-            .await
-    }
-
-    /// Retrying object read.
+    /// Retrying object read inside `deadline`.
     pub async fn get(
-        &self,
-        caller: &Host,
-        bucket: &str,
-        key: &str,
-    ) -> Result<Payload, RetryError<BlobError>> {
-        self.get_within(caller, bucket, key, Deadline::unbounded()).await
-    }
-
-    /// [`RetryingBlob::get`] inside a deadline budget.
-    pub async fn get_within(
         &self,
         caller: &Host,
         bucket: &str,
         key: &str,
         deadline: Deadline,
     ) -> Result<Payload, RetryError<BlobError>> {
-        let rec = self.recorder.clone();
-        self.policy
-            .run_within(&self.sim, &self.rng, deadline, BlobError::is_transient, || {
-                rec.incr("chaos.blob.attempts");
-                self.blob.get(caller, bucket, key)
-            })
-            .await
+        self.retried(deadline, || self.blob.get(caller, bucket, key)).await
     }
 
     /// The wrapped store, for operations that should not retry.
@@ -244,10 +241,7 @@ pub enum DeleteOutcome {
 #[derive(Clone)]
 pub struct RetryingQueue {
     queue: QueueService,
-    sim: Sim,
-    policy: RetryPolicy,
-    rng: Rc<RefCell<SimRng>>,
-    recorder: Recorder,
+    retry: Retrier,
 }
 
 impl RetryingQueue {
@@ -261,11 +255,26 @@ impl RetryingQueue {
     ) -> RetryingQueue {
         RetryingQueue {
             queue: queue.clone(),
-            sim: sim.clone(),
-            policy,
-            rng: Rc::new(RefCell::new(sim.rng(label))),
-            recorder,
+            retry: Retrier::new(sim, recorder, policy, label),
         }
+    }
+
+    /// One queue send, counted in `resil.queue.attempts`. Queue errors
+    /// are never retried; only an attempt that hits its time limit is.
+    async fn sent<T, Fut>(
+        &self,
+        deadline: Deadline,
+        op: impl Fn() -> Fut,
+    ) -> Result<T, RetryError<QueueError>>
+    where
+        Fut: Future<Output = Result<T, QueueError>>,
+    {
+        self.retry
+            .raced(deadline, |_| Verdict::Fatal, || {
+                self.retry.recorder.incr("resil.queue.attempts");
+                op()
+            })
+            .await
     }
 
     /// Send one message inside `deadline`.
@@ -276,13 +285,7 @@ impl RetryingQueue {
         body: &Payload,
         deadline: Deadline,
     ) -> Result<MessageId, RetryError<QueueError>> {
-        let rec = self.recorder.clone();
-        self.policy
-            .run_within(&self.sim, &self.rng, deadline, |_| false, || {
-                rec.incr("resil.queue.attempts");
-                self.queue.send(caller, queue, body.clone())
-            })
-            .await
+        self.sent(deadline, || self.queue.send(caller, queue, body.clone())).await
     }
 
     /// Send up to a batch of messages as one request inside `deadline`.
@@ -293,12 +296,7 @@ impl RetryingQueue {
         bodies: Vec<Payload>,
         deadline: Deadline,
     ) -> Result<Vec<MessageId>, RetryError<QueueError>> {
-        let rec = self.recorder.clone();
-        self.policy
-            .run_within(&self.sim, &self.rng, deadline, |_| false, || {
-                rec.incr("resil.queue.attempts");
-                self.queue.send_batch(caller, queue, bodies.clone())
-            })
+        self.sent(deadline, || self.queue.send_batch(caller, queue, bodies.clone()))
             .await
     }
 
@@ -314,11 +312,11 @@ impl RetryingQueue {
         wait: SimDuration,
         deadline: Deadline,
     ) -> Result<Vec<ReceivedMessage>, RetryError<QueueError>> {
-        let budget = deadline.remaining(&self.sim);
+        let budget = deadline.remaining(&self.retry.sim);
         if budget == SimDuration::ZERO {
             return Ok(Vec::new());
         }
-        self.recorder.incr("resil.queue.attempts");
+        self.retry.recorder.incr("resil.queue.attempts");
         self.queue
             .receive(caller, queue, max, wait.min(budget))
             .await
@@ -334,11 +332,11 @@ impl RetryingQueue {
         caller: &Host,
         receipt: Receipt,
     ) -> Result<DeleteOutcome, RetryError<QueueError>> {
-        self.recorder.incr("resil.queue.attempts");
+        self.retry.recorder.incr("resil.queue.attempts");
         match self.queue.delete(caller, receipt).await {
             Ok(()) => Ok(DeleteOutcome::Deleted),
             Err(QueueError::InvalidReceipt) => {
-                self.recorder.incr("resil.queue.stale_receipts");
+                self.retry.recorder.incr("resil.queue.stale_receipts");
                 Ok(DeleteOutcome::Stale)
             }
             Err(e) => Err(RetryError::Fatal(e)),
@@ -374,17 +372,16 @@ impl RetryingQueue {
 /// deadline budget — the platform-level at-least-once retry semantics
 /// of an async invoke, made explicit on the synchronous path.
 ///
-/// Each attempt runs to completion (an in-flight invocation is never
-/// canceled from outside — the function's own timeout bounds it), so a
-/// retried invocation may execute the handler more than once. Pair with
-/// [`crate::IdempotencyStore`] for exactly-once observable effects.
+/// Each attempt runs to completion: an in-flight invocation is never
+/// canceled from outside (the function's own timeout bounds it; the
+/// deadline only bounds when a retry may start, and the policy's
+/// `call_timeout` is ignored). So a retried invocation may execute the
+/// handler more than once. Pair with [`crate::IdempotencyStore`] for exactly-once
+/// observable effects.
 #[derive(Clone)]
 pub struct RetryingInvoker {
     faas: FaasPlatform,
-    sim: Sim,
-    policy: RetryPolicy,
-    rng: Rc<RefCell<SimRng>>,
-    recorder: Recorder,
+    retry: Retrier,
 }
 
 impl RetryingInvoker {
@@ -398,10 +395,7 @@ impl RetryingInvoker {
     ) -> RetryingInvoker {
         RetryingInvoker {
             faas: faas.clone(),
-            sim: sim.clone(),
-            policy,
-            rng: Rc::new(RefCell::new(sim.rng(label))),
-            recorder,
+            retry: Retrier::new(sim, recorder, policy, label),
         }
     }
 
@@ -415,33 +409,19 @@ impl RetryingInvoker {
         payload: &Payload,
         deadline: Deadline,
     ) -> Result<InvokeOutcome, RetryError<FnError>> {
-        let attempts = self.policy.max_attempts.max(1);
-        let mut last: Option<RetryError<FnError>> = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                let d = self.policy.delay(attempt - 1, &mut self.rng.borrow_mut());
-                if deadline.remaining(&self.sim) <= d {
-                    return Err(RetryError::DeadlineExceeded { attempts: attempt });
-                }
-                self.sim.sleep(d).await;
-            }
-            if deadline.is_expired(&self.sim) {
-                return Err(RetryError::DeadlineExceeded { attempts: attempt });
-            }
-            self.recorder.incr("resil.faas.attempts");
-            let out = self.faas.invoke(func, payload.clone()).await;
-            match &out.result {
-                Ok(_) => return Ok(out),
-                Err(e) if e.is_transient() => {
-                    last = Some(RetryError::Exhausted {
-                        attempts: attempt + 1,
-                        last: e.clone(),
-                    });
-                }
-                Err(e) => return Err(RetryError::Fatal(e.clone())),
-            }
-        }
-        Err(last.expect("max_attempts >= 1 guarantees one attempt"))
+        let Retrier { sim, policy, rng, .. } = &self.retry;
+        let classify = Verdict::when(FnError::is_transient);
+        // The attempt's time limit is ignored: invocations are not raced.
+        policy
+            .run_within(sim, rng, deadline, classify, |_limit| async {
+                self.retry.recorder.incr("resil.faas.attempts");
+                let out = self.faas.invoke(func, payload.clone()).await;
+                Some(match out.result {
+                    Ok(_) => Ok(out),
+                    Err(e) => Err(e),
+                })
+            })
+            .await
     }
 
     /// The wrapped platform, for non-retried operations.
@@ -476,10 +456,19 @@ mod tests {
         let host = cloud.client_host();
         let ok = cloud.sim.block_on(async move {
             for i in 0..50u8 {
+                let key = format!("k{i}");
                 client
-                    .put(&host, "t", &format!("k{i}"), Bytes::from(vec![i]))
+                    .put(
+                        &host,
+                        "t",
+                        &key,
+                        Bytes::from(vec![i]),
+                        Deadline::unbounded(),
+                    )
                     .await?;
-                client.get(&host, "t", &format!("k{i}"), Consistency::Strong).await?;
+                client
+                    .get(&host, "t", &key, Consistency::Strong, Deadline::unbounded())
+                    .await?;
             }
             Ok::<(), RetryError<KvError>>(())
         });
@@ -503,9 +492,20 @@ mod tests {
         );
         let host = cloud.client_host();
         let got = cloud.sim.block_on(async move {
-            client.get(&host, "missing", "k", Consistency::Strong).await
+            client
+                .get(
+                    &host,
+                    "missing",
+                    "k",
+                    Consistency::Strong,
+                    Deadline::unbounded(),
+                )
+                .await
         });
-        assert!(matches!(got, Err(RetryError::Fatal(KvError::NoSuchTable(_)))));
+        assert!(matches!(
+            got,
+            Err(RetryError::Fatal(KvError::NoSuchTable(_)))
+        ));
         assert_eq!(cloud.recorder.counter("chaos.kv.attempts"), 1);
     }
 
@@ -529,7 +529,7 @@ mod tests {
         let got = cloud.sim.block_on(async move {
             let deadline = Deadline::within(&sim, SimDuration::from_secs(3));
             client
-                .get_within(&host, "t", "k", Consistency::Strong, deadline)
+                .get(&host, "t", "k", Consistency::Strong, deadline)
                 .await
         });
         assert!(
@@ -584,9 +584,7 @@ mod tests {
             duplicate_prob: 1.0,
             ..QueueFaults::default()
         });
-        cloud
-            .queue
-            .create_queue("q", QueueConfig::default());
+        cloud.queue.create_queue("q", QueueConfig::default());
         let rq = RetryingQueue::new(
             &cloud.sim,
             &cloud.queue,
@@ -641,5 +639,43 @@ mod tests {
             cloud.recorder.counter("resil.faas.attempts") > 10,
             "some invocations were killed and retried"
         );
+    }
+
+    #[test]
+    fn invoker_attempt_outlives_a_bounded_deadline() {
+        let cloud = Cloud::new(CloudProfile::aws_2018().exact(), 16);
+        cloud.faas.register(FunctionSpec::new(
+            "slow",
+            512,
+            SimDuration::from_secs(60),
+            |ctx, _payload| async move {
+                ctx.cpu(SimDuration::from_secs(5)).await;
+                Ok(Payload::inline("done"))
+            },
+        ));
+        let invoker = RetryingInvoker::new(
+            &cloud.sim,
+            &cloud.faas,
+            cloud.recorder.clone(),
+            RetryPolicy {
+                call_timeout: Some(SimDuration::from_millis(100)),
+                ..RetryPolicy::default()
+            },
+            "resil.faas.test",
+        );
+        let sim = cloud.sim.clone();
+        let got = cloud.sim.block_on(async move {
+            let deadline = Deadline::within(&sim, SimDuration::from_secs(1));
+            invoker
+                .invoke("slow", &Payload::inline("x"), deadline)
+                .await
+        });
+        let out = got.expect("the one attempt runs to completion and succeeds");
+        assert!(out.exec >= SimDuration::from_secs(5), "handler ran in full");
+        assert!(
+            cloud.sim.now().as_secs_f64() >= 5.0,
+            "not cut at the 1 s deadline"
+        );
+        assert_eq!(cloud.recorder.counter("resil.faas.attempts"), 1);
     }
 }

@@ -32,8 +32,8 @@ impl Deadline {
         }
     }
 
-    /// No budget at all: never expires, never caps a call. Useful as a
-    /// control and as the bridge from the unbudgeted retry API.
+    /// No budget at all: never expires, never caps a call. Pass it to a
+    /// retrying client that only its policy should bound.
     pub fn unbounded() -> Deadline {
         Deadline { at: SimTime::MAX }
     }

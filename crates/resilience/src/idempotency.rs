@@ -15,16 +15,16 @@
 //! and committing leaves at most one committed record — the retry
 //! either commits first or loses the conditional write and dedups.
 
-use std::cell::RefCell;
 use std::future::Future;
-use std::rc::Rc;
 
 use faasim_kv::{Condition, Consistency, KvError, KvStore};
 use faasim_net::Host;
 use faasim_payload::Payload;
-use faasim_simcore::{Recorder, Sim, SimRng};
+use faasim_simcore::{Recorder, Sim};
 
-use crate::retry::{RetryError, RetryPolicy};
+use crate::clients::Retrier;
+use crate::deadline::Deadline;
+use crate::retry::{RetryError, RetryPolicy, Verdict};
 
 /// The committed outcome of [`IdempotencyStore::execute`].
 #[derive(Clone, Debug)]
@@ -41,10 +41,7 @@ pub struct Effect {
 #[derive(Clone)]
 pub struct IdempotencyStore {
     kv: KvStore,
-    sim: Sim,
-    recorder: Recorder,
-    policy: RetryPolicy,
-    rng: Rc<RefCell<SimRng>>,
+    retry: Retrier,
     table: String,
 }
 
@@ -63,10 +60,7 @@ impl IdempotencyStore {
         kv.create_table(table);
         IdempotencyStore {
             kv: kv.clone(),
-            sim: sim.clone(),
-            recorder,
-            policy,
-            rng: Rc::new(RefCell::new(sim.rng(label))),
+            retry: Retrier::new(sim, recorder, policy, label),
             table: table.to_owned(),
         }
     }
@@ -91,7 +85,7 @@ impl IdempotencyStore {
     {
         // Fast path: the effect may already be committed.
         if let Some(prior) = self.read(caller, key).await? {
-            self.recorder.incr("resil.idem.dedup");
+            self.retry.recorder.incr("resil.idem.dedup");
             return Ok(Effect {
                 value: prior,
                 deduped: true,
@@ -99,20 +93,13 @@ impl IdempotencyStore {
         }
         let value = op().await;
         let committed = self
-            .policy
-            .run(&self.sim, &self.rng, KvError::is_transient, || {
-                self.kv.put_if(
-                    caller,
-                    &self.table,
-                    key,
-                    value.clone(),
-                    Condition::NotExists,
-                )
+            .retried(|| {
+                self.kv.put_if(caller, &self.table, key, value.clone(), Condition::NotExists)
             })
             .await;
         match committed {
             Ok(_) => {
-                self.recorder.incr("resil.idem.committed");
+                self.retry.recorder.incr("resil.idem.committed");
                 Ok(Effect {
                     value,
                     deduped: false,
@@ -121,7 +108,7 @@ impl IdempotencyStore {
             // Another execution committed first; its value is the one
             // observable effect.
             Err(RetryError::Fatal(KvError::ConditionFailed)) => {
-                self.recorder.incr("resil.idem.lost_race");
+                self.retry.recorder.incr("resil.idem.lost_race");
                 let winner = self.read(caller, key).await?.ok_or(RetryError::Fatal(
                     // A NotExists failure guarantees the key exists.
                     KvError::NoSuchKey(key.to_owned()),
@@ -139,10 +126,7 @@ impl IdempotencyStore {
     /// retrying transient failures. `None` when nothing is committed.
     async fn read(&self, caller: &Host, key: &str) -> Result<Option<Payload>, RetryError<KvError>> {
         let got = self
-            .policy
-            .run(&self.sim, &self.rng, KvError::is_transient, || {
-                self.kv.get(caller, &self.table, key, Consistency::Strong)
-            })
+            .retried(|| self.kv.get(caller, &self.table, key, Consistency::Strong))
             .await;
         match got {
             Ok(item) => Ok(Some(item.value)),
@@ -159,10 +143,7 @@ impl IdempotencyStore {
         prefix: &str,
     ) -> Result<Vec<(String, Payload)>, RetryError<KvError>> {
         let rows = self
-            .policy
-            .run(&self.sim, &self.rng, KvError::is_transient, || {
-                self.kv.scan_prefix(caller, &self.table, prefix)
-            })
+            .retried(|| self.kv.scan_prefix(caller, &self.table, prefix))
             .await?;
         Ok(rows
             .into_iter()
@@ -179,6 +160,16 @@ impl IdempotencyStore {
         Ok(self.committed(caller, prefix).await?.len())
     }
 
+    /// A KV call on the store's table, retried through transient
+    /// failures.
+    async fn retried<T, Fut>(&self, op: impl Fn() -> Fut) -> Result<T, RetryError<KvError>>
+    where
+        Fut: Future<Output = Result<T, KvError>>,
+    {
+        let classify = Verdict::when(KvError::is_transient);
+        self.retry.raced(Deadline::unbounded(), classify, op).await
+    }
+
     /// The backing table name.
     pub fn table(&self) -> &str {
         &self.table
@@ -188,6 +179,7 @@ impl IdempotencyStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::rc::Rc;
     use faasim::{Cloud, CloudProfile};
     use std::cell::Cell;
 

@@ -10,9 +10,10 @@
 //! deterministic primitive:
 //!
 //! - [`RetryPolicy`] — exponential backoff with bounded jitter and
-//!   per-call timeouts, plus [`RetryPolicy::run_within`], the
-//!   deadline-budgeted variant that keeps every retry, backoff sleep,
-//!   and per-call timeout inside a propagated [`Deadline`].
+//!   per-call timeouts, and [`RetryPolicy::run_within`], the one retry
+//!   loop: every backoff sleep and attempt limit fits a propagated
+//!   [`Deadline`], and a [`Verdict`] classifier decides what is retried
+//!   and how early.
 //! - [`Deadline`] — an absolute virtual-time budget threaded through a
 //!   request's whole call tree, and [`hedged`], which races a duplicate
 //!   request against a slow primary without overrunning the budget.
@@ -23,9 +24,10 @@
 //!   idempotency keys: at-least-once deliveries and platform retries
 //!   collapse to exactly-once *observable* effects.
 //! - [`RetryingKv`] / [`RetryingBlob`] / [`RetryingQueue`] /
-//!   [`RetryingInvoker`] — service clients wrapped in the retry
-//!   discipline, including stale-receipt handling on queue deletes and
-//!   platform-level invoke retries.
+//!   [`RetryingInvoker`] — service clients built on `run_within`, each
+//!   method taking a [`Deadline`]. Storage and queue attempts are raced
+//!   against their time limit; invoke attempts never are. Queue deletes
+//!   turn stale receipts into an outcome.
 //!
 //! Everything draws randomness only from named simulation RNG streams
 //! (and only when jitter is non-zero), so a run under these wrappers is
@@ -46,4 +48,4 @@ pub use clients::{DeleteOutcome, RetryingBlob, RetryingInvoker, RetryingKv, Retr
 pub use deadline::{hedged, Deadline};
 pub use idempotency::{Effect, IdempotencyStore};
 pub use invariants::{ledger_consistent, message_conservation, queue_conservation};
-pub use retry::{RetryError, RetryPolicy};
+pub use retry::{RetryError, RetryPolicy, Verdict};

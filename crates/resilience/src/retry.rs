@@ -1,20 +1,21 @@
-//! Exponential backoff with bounded jitter, plus a generic retry
-//! driver with optional per-call timeouts and deadline budgets.
+//! Exponential backoff with bounded jitter, and the workspace's one
+//! retry loop.
 //!
 //! The paper's §2 compositions only work because every client retries:
 //! SQS is at-least-once, DynamoDB throttles, S3 returns 503 SlowDown.
 //! [`RetryPolicy`] is that discipline made explicit — and, because the
 //! jitter comes from a named simulation RNG stream, made deterministic.
-//! [`RetryPolicy::run_within`] is the budgeted variant: every backoff
-//! sleep and per-call timeout is capped so the whole retry loop fits
-//! inside a propagated [`Deadline`].
+//! [`RetryPolicy::run_within`] drives every retrying client: every
+//! backoff sleep and attempt limit fits inside a propagated
+//! [`Deadline`], and a [`Verdict`] classifier decides which errors are
+//! retried and how early a retry may fire.
 
 use std::cell::RefCell;
 use std::fmt;
 use std::future::Future;
 use std::rc::Rc;
 
-use faasim_simcore::{Sim, SimDuration, SimRng};
+use faasim_simcore::{Sim, SimDuration, SimRng, SimTime};
 
 use crate::deadline::Deadline;
 
@@ -23,7 +24,9 @@ use crate::deadline::Deadline;
 pub enum RetryError<E> {
     /// Every attempt failed transiently; `last` is the final error.
     Exhausted {
-        /// Attempts made (equals the policy's `max_attempts`).
+        /// Attempts made: the policy's `max_attempts`, or fewer when,
+        /// under an unbounded deadline, the last error named a retry
+        /// instant that never comes.
         attempts: u32,
         /// The error from the final attempt.
         last: E,
@@ -34,8 +37,7 @@ pub enum RetryError<E> {
         attempts: u32,
     },
     /// The deadline budget ran out before an attempt could succeed.
-    /// Only produced by [`RetryPolicy::run_within`] and the budgeted
-    /// clients built on it.
+    /// Only produced under a bounded [`Deadline`].
     DeadlineExceeded {
         /// Attempts made before the budget expired.
         attempts: u32,
@@ -108,7 +110,11 @@ pub struct RetryPolicy {
     /// `backoff * uniform(1 - jitter, 1 + jitter)`.
     pub jitter: f64,
     /// If set, each attempt is raced against this virtual-time deadline
-    /// and a late response is treated as a transient failure.
+    /// and a late response is treated as a transient failure. Only the
+    /// storage and queue clients race it: the invoke clients
+    /// ([`crate::RetryingInvoker`] and the gateway's retrying client)
+    /// ignore it, because an in-flight invocation is never canceled
+    /// from outside (the function's own timeout bounds it).
     pub call_timeout: Option<SimDuration>,
 }
 
@@ -166,91 +172,129 @@ impl RetryPolicy {
         SimDuration::from_secs_f64(b.as_secs_f64() * scale)
     }
 
-    /// Drive `op` to success or final failure. Each call to `op` builds
-    /// a fresh attempt future; `is_transient` decides whether an error
-    /// is worth retrying. The shared `rng` is only borrowed between
-    /// attempts (never across an `.await`), so one stream can serve
-    /// many concurrent callers.
-    pub async fn run<T, E, Fut>(
-        &self,
-        sim: &Sim,
-        rng: &Rc<RefCell<SimRng>>,
-        is_transient: impl Fn(&E) -> bool,
-        op: impl FnMut() -> Fut,
-    ) -> Result<T, RetryError<E>>
-    where
-        Fut: Future<Output = Result<T, E>>,
-    {
-        self.run_within(sim, rng, Deadline::unbounded(), is_transient, op)
-            .await
-    }
-
-    /// [`RetryPolicy::run`], but every sleep and call fits inside
-    /// `deadline`: per-call timeouts are capped at the remaining budget,
-    /// and a backoff sleep that would cross the deadline aborts the loop
-    /// with [`RetryError::DeadlineExceeded`] instead of sleeping.
+    /// Drive `op` to success or final failure inside `deadline`: the
+    /// workspace's one retry loop, which every retrying client calls.
     ///
-    /// With [`Deadline::unbounded`] this is exactly [`RetryPolicy::run`].
-    pub async fn run_within<T, E, Fut>(
-        &self,
-        sim: &Sim,
-        rng: &Rc<RefCell<SimRng>>,
+    /// `op(limit)` builds a fresh attempt, where `limit` is the policy's
+    /// `call_timeout` capped at the budget left (`None` when neither
+    /// bounds it). The attempt resolves to `None` if it gave up at that
+    /// limit: storage and queue clients race it, invoke
+    /// clients ignore it, since an in-flight invocation is never canceled
+    /// from outside.
+    ///
+    /// `classify` decides what a failed attempt means: [`Verdict::Fatal`]
+    /// surfaces at once; [`Verdict::Retry`] backs off by
+    /// [`RetryPolicy::delay`] but never past its `not_before`. A backoff
+    /// that would cross a bounded deadline ends the loop with
+    /// [`RetryError::DeadlineExceeded`]; with no deadline that happens
+    /// only when `not_before` never comes, and the loop surfaces the
+    /// last error. The shared `rng` is only borrowed between attempts
+    /// (never across an `.await`), so one stream can serve many callers.
+    //
+    // A plain fn returning an `async move` block: an `async fn` would
+    // store its arguments twice, and this future is part of every
+    // in-flight invocation.
+    pub fn run_within<'a, T, E, Fut>(
+        &'a self,
+        sim: &'a Sim,
+        rng: &'a Rc<RefCell<SimRng>>,
         deadline: Deadline,
-        is_transient: impl Fn(&E) -> bool,
-        mut op: impl FnMut() -> Fut,
-    ) -> Result<T, RetryError<E>>
+        classify: impl Fn(&E) -> Verdict + 'a,
+        mut op: impl FnMut(Option<SimDuration>) -> Fut + 'a,
+    ) -> impl Future<Output = Result<T, RetryError<E>>> + 'a
     where
-        Fut: Future<Output = Result<T, E>>,
+        T: 'a,
+        E: 'a,
+        Fut: Future<Output = Option<Result<T, E>>> + 'a,
     {
         let attempts = self.max_attempts.max(1);
-        let mut last: Option<RetryError<E>> = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                let d = self.delay(attempt - 1, &mut rng.borrow_mut());
-                if deadline.remaining(sim) <= d {
+        async move {
+            let mut last = None;
+            // SimTime::ZERO is "no constraint".
+            let mut not_before = SimTime::ZERO;
+            for attempt in 0..attempts {
+                if attempt > 0 {
+                    let d = self
+                        .delay(attempt - 1, &mut rng.borrow_mut())
+                        .max(not_before.duration_since(sim.now()));
+                    if deadline.remaining(sim) <= d {
+                        if deadline.is_unbounded() {
+                            break;
+                        }
+                        return Err(RetryError::DeadlineExceeded { attempts: attempt });
+                    }
+                    sim.sleep(d).await;
+                }
+                let remaining = deadline.remaining(sim);
+                if remaining == SimDuration::ZERO {
                     return Err(RetryError::DeadlineExceeded { attempts: attempt });
                 }
-                sim.sleep(d).await;
+                let limit = if deadline.is_unbounded() {
+                    self.call_timeout
+                } else {
+                    Some(self.call_timeout.map_or(remaining, |t| t.min(remaining)))
+                };
+                let attempts = attempt + 1;
+                match op(limit).await {
+                    Some(Ok(v)) => return Ok(v),
+                    Some(Err(e)) => match classify(&e) {
+                        Verdict::Retry { not_before: at } => {
+                            not_before = at.unwrap_or(SimTime::ZERO);
+                            last = Some(RetryError::Exhausted { attempts, last: e });
+                        }
+                        Verdict::Fatal => return Err(RetryError::Fatal(e)),
+                    },
+                    None if deadline.is_expired(sim) => {
+                        return Err(RetryError::DeadlineExceeded { attempts })
+                    }
+                    None => {
+                        not_before = SimTime::ZERO;
+                        last = Some(RetryError::TimedOut { attempts });
+                    }
+                }
             }
-            let remaining = deadline.remaining(sim);
-            if remaining == SimDuration::ZERO {
-                return Err(RetryError::DeadlineExceeded { attempts: attempt });
-            }
-            // Cap the per-call race at whatever budget is left; an
-            // unbounded deadline leaves the policy's own timeout (or
-            // none) in charge.
-            let limit = match (self.call_timeout, deadline.is_unbounded()) {
-                (Some(t), false) => Some(t.min(remaining)),
-                (Some(t), true) => Some(t),
-                (None, false) => Some(remaining),
-                (None, true) => None,
-            };
-            let outcome = match limit {
-                Some(limit) => sim.timeout(limit, op()).await,
-                None => Some(op().await),
-            };
-            match outcome {
-                Some(Ok(v)) => return Ok(v),
-                Some(Err(e)) if is_transient(&e) => {
-                    last = Some(RetryError::Exhausted {
-                        attempts: attempt + 1,
-                        last: e,
-                    });
-                }
-                Some(Err(e)) => return Err(RetryError::Fatal(e)),
-                None if deadline.is_expired(sim) => {
-                    return Err(RetryError::DeadlineExceeded {
-                        attempts: attempt + 1,
-                    });
-                }
-                None => {
-                    last = Some(RetryError::TimedOut {
-                        attempts: attempt + 1,
-                    });
-                }
+            Err(last.expect("max_attempts >= 1 guarantees one attempt"))
+        }
+    }
+}
+
+/// What [`RetryPolicy::run_within`] does with a failed attempt's error.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Verdict {
+    /// Transient: back off and retry, but never before `not_before`
+    /// when the failing stage named the instant capacity returns.
+    Retry {
+        /// Earliest instant a retry could succeed, if known.
+        not_before: Option<SimTime>,
+    },
+    /// Not transient: surfaced at once, never retried.
+    Fatal,
+}
+
+impl Verdict {
+    /// The classifier that retries exactly the errors `is_transient`
+    /// accepts (with no earliest instant) and treats the rest as fatal.
+    pub fn when<E>(is_transient: impl Fn(&E) -> bool) -> impl Fn(&E) -> Verdict {
+        move |e| {
+            if is_transient(e) {
+                Verdict::Retry { not_before: None }
+            } else {
+                Verdict::Fatal
             }
         }
-        Err(last.expect("max_attempts >= 1 guarantees one attempt"))
+    }
+}
+
+/// Race `fut` against an attempt's time limit: `None` if `limit`
+/// elapsed first. With no limit it awaits `fut` and arms no timer.
+pub(crate) async fn raced<T>(
+    sim: &Sim,
+    limit: Option<SimDuration>,
+    fut: impl Future<Output = T>,
+) -> Option<T> {
+    match limit {
+        Some(limit) => sim.timeout(limit, fut).await,
+        None => Some(fut.await),
     }
 }
 
@@ -284,6 +328,10 @@ mod tests {
         assert_eq!(a.unit_f64(), b.unit_f64());
     }
 
+    fn transient(_: &&str) -> Verdict {
+        Verdict::Retry { not_before: None }
+    }
+
     #[test]
     fn run_retries_transient_then_succeeds() {
         use std::cell::Cell;
@@ -294,15 +342,15 @@ mod tests {
         let t = tries.clone();
         let sim2 = sim.clone();
         let got: Result<u32, RetryError<&str>> = sim.block_on(async move {
-            p.run(&sim2, &rng, |_| true, move || {
+            p.run_within(&sim2, &rng, Deadline::unbounded(), transient, move |_| {
                 let t = t.clone();
                 async move {
                     t.set(t.get() + 1);
-                    if t.get() < 3 {
+                    Some(if t.get() < 3 {
                         Err("transient")
                     } else {
                         Ok(42)
-                    }
+                    })
                 }
             })
             .await
@@ -318,7 +366,14 @@ mod tests {
         let p = policy();
         let sim2 = sim.clone();
         let got: Result<(), RetryError<&str>> = sim.block_on(async move {
-            p.run(&sim2, &rng, |_| false, || async { Err("nope") }).await
+            p.run_within(
+                &sim2,
+                &rng,
+                Deadline::unbounded(),
+                |_| Verdict::Fatal,
+                |_| async { Some(Err("nope")) },
+            )
+            .await
         });
         assert_eq!(got, Err(RetryError::Fatal("nope")));
     }
@@ -333,13 +388,22 @@ mod tests {
         let sim2 = sim.clone();
         let sim3 = sim.clone();
         let got: Result<(), RetryError<&str>> = sim.block_on(async move {
-            p.run(&sim2, &rng, |_| true, move || {
-                let sim3 = sim3.clone();
-                async move {
-                    sim3.sleep(SimDuration::from_secs(1)).await;
-                    Ok(())
-                }
-            })
+            p.run_within(
+                &sim2,
+                &rng,
+                Deadline::unbounded(),
+                transient,
+                move |limit| {
+                    let sim3 = sim3.clone();
+                    async move {
+                        raced(&sim3, limit, async {
+                            sim3.sleep(SimDuration::from_secs(1)).await;
+                            Ok(())
+                        })
+                        .await
+                    }
+                },
+            )
             .await
         });
         assert_eq!(got, Err(RetryError::TimedOut { attempts: 2 }));
@@ -356,11 +420,14 @@ mod tests {
         let sim3 = sim.clone();
         let deadline = Deadline::at(SimTime::ZERO + SimDuration::from_secs(2));
         let got: Result<(), RetryError<&str>> = sim.block_on(async move {
-            p.run_within(&sim2, &rng, deadline, |_| true, move || {
+            p.run_within(&sim2, &rng, deadline, transient, move |limit| {
                 let sim3 = sim3.clone();
                 async move {
-                    sim3.sleep(SimDuration::from_millis(100)).await;
-                    Err("flaky")
+                    raced(&sim3, limit, async {
+                        sim3.sleep(SimDuration::from_millis(100)).await;
+                        Err("flaky")
+                    })
+                    .await
                 }
             })
             .await
@@ -385,11 +452,14 @@ mod tests {
         let sim3 = sim.clone();
         let deadline = Deadline::at(SimTime::ZERO + SimDuration::from_millis(10));
         let got: Result<(), RetryError<&str>> = sim.block_on(async move {
-            p.run_within(&sim2, &rng, deadline, |_| true, move || {
+            p.run_within(&sim2, &rng, deadline, transient, move |limit| {
                 let sim3 = sim3.clone();
                 async move {
-                    sim3.sleep(SimDuration::from_secs(5)).await;
-                    Ok(())
+                    raced(&sim3, limit, async {
+                        sim3.sleep(SimDuration::from_secs(5)).await;
+                        Ok(())
+                    })
+                    .await
                 }
             })
             .await
@@ -398,17 +468,25 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_run_within_equals_run() {
+    fn unbounded_run_within_hands_out_no_limit() {
         let sim = Sim::new(1);
         let rng = Rc::new(RefCell::new(sim.rng("retry")));
         let p = policy();
         let sim2 = sim.clone();
         let got: Result<u32, RetryError<&str>> = sim.block_on(async move {
-            p.run_within(&sim2, &rng, Deadline::unbounded(), |_| true, || async {
-                Ok(7)
-            })
+            p.run_within(
+                &sim2,
+                &rng,
+                Deadline::unbounded(),
+                transient,
+                |limit| async move {
+                    assert_eq!(limit, None);
+                    Some(Ok(7))
+                },
+            )
             .await
         });
         assert_eq!(got, Ok(7));
+        assert_eq!(sim.profile().timer_pushes, 0, "no attempt limit, no timer");
     }
 }

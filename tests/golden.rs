@@ -19,8 +19,7 @@ use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 
 use faasim_chaos::{
-    experiment_scenarios, CrdtSync, LinkChurn, NoisyNeighbor, QueuePipeline, Scenario,
-    TraceReplay,
+    experiment_scenarios, CrdtSync, LinkChurn, NoisyNeighbor, QueuePipeline, Scenario, TraceReplay,
 };
 use faasim_simcore::FxHasher;
 
@@ -88,8 +87,13 @@ fn golden_digests_match() {
     for i in 0..exp.len().max(now.len()) {
         let (e, g) = (exp.get(i).copied(), now.get(i).copied());
         if e != g {
-            writeln!(moved, "- {}\n+ {}", e.unwrap_or("<none>"), g.unwrap_or("<none>"))
-                .expect("write to String");
+            writeln!(
+                moved,
+                "- {}\n+ {}",
+                e.unwrap_or("<none>"),
+                g.unwrap_or("<none>")
+            )
+            .expect("write to String");
         }
     }
     panic!(
