@@ -9,6 +9,13 @@
 //! LinkChurn, NoisyNeighbor calm/hostile, TraceReplay small calm/hostile,
 //! and the sixteen experiment twins (calm, then hostile).
 //!
+//! After those come the paper experiments themselves at `quick()`
+//! params, one line per experiment and seed:
+//! `<experiment> seed=<n> table=<fx> probe=<fx>`, the FxHash of the
+//! rendered table and of the `ExperimentProbe` (every cloud's digest and
+//! bill). Last come the small trace replay's `ReplayReport` lines,
+//! `replay-report seed=<n> report=<fx>`, the FxHash of its `Debug` form.
+//!
 //! `golden_digests_match` diffs against the file and prints every line
 //! that moved. After an intended behaviour change, regenerate with
 //! `make golden` (which runs the ignored `regenerate_golden_digests`)
@@ -18,10 +25,15 @@ use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 
+use faasim::experiments::{
+    agents_cmp, bandwidth, cold_starts, data_shipping, election, prediction, table1, training,
+    ExperimentProbe,
+};
 use faasim_chaos::{
     experiment_scenarios, CrdtSync, LinkChurn, NoisyNeighbor, QueuePipeline, Scenario, TraceReplay,
 };
 use faasim_simcore::FxHasher;
+use faasim_trace::{replay, ReplayConfig};
 
 const SEEDS: [u64; 4] = [1, 2, 3, 4];
 
@@ -53,8 +65,64 @@ fn fx(text: &str) -> u64 {
     h.finish()
 }
 
+/// One paper experiment at `quick()` params: its rendered table and its
+/// determinism probe.
+type Experiment = fn(u64) -> (String, ExperimentProbe);
+
+fn experiments() -> Vec<(&'static str, Experiment)> {
+    vec![
+        ("table1", |seed| {
+            let r = table1::run(&table1::Table1Params::quick(), seed);
+            (r.render(), r.probe)
+        }),
+        ("cold_starts", |seed| {
+            let r = cold_starts::run(&cold_starts::ColdStartParams::quick(), seed);
+            (r.render("cold starts"), r.probe)
+        }),
+        ("bandwidth", |seed| {
+            let r = bandwidth::run(&bandwidth::BandwidthParams::quick(), seed);
+            (r.render(), r.probe)
+        }),
+        ("memory_sweep", |seed| {
+            let r = bandwidth::run_memory_sweep(&bandwidth::MemorySweepParams::quick(), seed);
+            (r.render(), r.probe)
+        }),
+        ("data_shipping", |seed| {
+            let r = data_shipping::run(&data_shipping::DataShippingParams::quick(), seed);
+            (r.render(), r.probe)
+        }),
+        ("training", |seed| {
+            let r = training::run(&training::TrainingParams::quick(), seed);
+            (r.render(), r.probe)
+        }),
+        ("prediction", |seed| {
+            let r = prediction::run(&prediction::PredictionParams::quick(), seed);
+            (r.render(), r.probe)
+        }),
+        ("election", |seed| {
+            let params = election::ElectionParams::quick();
+            let r = election::run(&params, seed);
+            (r.render(&params), r.probe)
+        }),
+        ("churn", |seed| {
+            // The churn study has no table; its fields stand in for one.
+            let r = election::run_churn(&election::ChurnParams::quick(), seed);
+            let table = format!(
+                "{:?} {:?} {:?} {}",
+                r.window, r.disturbed, r.fraction, r.rounds
+            );
+            (table, r.probe)
+        }),
+        ("agents_cmp", |seed| {
+            let r = agents_cmp::run(&agents_cmp::AgentsCmpParams::quick(), seed);
+            (r.render(), r.probe)
+        }),
+    ]
+}
+
 /// The matrix as the current code produces it, one line per
-/// (scenario, seed), newline-terminated.
+/// (scenario, seed), then per (experiment, seed), then per replay seed,
+/// newline-terminated.
 fn current() -> String {
     let mut out = String::new();
     for sc in scenarios() {
@@ -69,6 +137,27 @@ fn current() -> String {
             )
             .expect("write to String");
         }
+    }
+    for (name, run) in experiments() {
+        for seed in SEEDS {
+            let (table, probe) = run(seed);
+            writeln!(
+                out,
+                "{name} seed={seed} table={:016x} probe={:016x}",
+                fx(&table),
+                fx(&format!("{probe:?}"))
+            )
+            .expect("write to String");
+        }
+    }
+    for seed in SEEDS {
+        let report = replay(&ReplayConfig::small(), seed, &|_| {}).report;
+        writeln!(
+            out,
+            "replay-report seed={seed} report={:016x}",
+            fx(&format!("{report:?}"))
+        )
+        .expect("write to String");
     }
     out
 }
