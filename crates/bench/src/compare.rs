@@ -39,7 +39,7 @@ pub struct SweepNumbers {
     pub seeds: f64,
     /// Host cores the baseline machine had (0 when the baseline predates
     /// recording it). A parallel arm measured on fewer than
-    /// [`MIN_PARALLEL_CORES`] cores is contention noise, not a speedup.
+    /// `MIN_PARALLEL_CORES` cores is contention noise, not a speedup.
     pub cores: f64,
     /// Worker threads its parallel arm used.
     pub workers: f64,

@@ -177,7 +177,7 @@ fn merge_min_wall(acc: &mut Vec<KernelBench>, round: Vec<KernelBench>) {
 
 /// One round of the DES-kernel microbenchmarks: each returns the
 /// kernel's event count so the score is events/sec, not iterations/sec.
-/// [`run_baseline`] runs [`BENCH_RUNS`] rounds and keeps the fastest
+/// [`run_baseline`] runs `BENCH_RUNS` rounds and keeps the fastest
 /// wall-clock per bench.
 pub fn run_kernel_benches() -> Vec<KernelBench> {
     let mut out = base_kernel_benches();
@@ -581,7 +581,7 @@ fn query_scan_kernel_benches(
 }
 
 /// One round of wall-clocking each experiment at `quick()` params;
-/// [`run_baseline`] keeps the best of [`BENCH_RUNS`] rounds.
+/// [`run_baseline`] keeps the best of `BENCH_RUNS` rounds.
 pub fn run_experiment_benches() -> Vec<ExperimentBench> {
     fn one(name: &str, f: impl FnOnce()) -> ExperimentBench {
         let (wall_secs, ()) = time(f);
@@ -674,8 +674,8 @@ pub fn run_sweep_bench(seeds: usize) -> SweepBench {
 }
 
 /// Run the full baseline: kernel, experiments, and a `seeds`-seed sweep.
-/// Kernel and experiment suites run [`BENCH_RUNS`] interleaved rounds,
-/// keeping each entry's fastest wall-clock (see [`BENCH_RUNS`]).
+/// Kernel and experiment suites run `BENCH_RUNS` interleaved rounds,
+/// keeping each entry's fastest wall-clock.
 pub fn run_baseline(seeds: usize) -> Baseline {
     let mut kernel = Vec::new();
     let mut experiments: Vec<ExperimentBench> = Vec::new();

@@ -8,7 +8,7 @@ use std::fmt;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunReport {
     /// Byte-exact digest of the run's [`Recorder`](faasim_simcore::Recorder)
-    /// — counters and histogram summaries.
+    /// — counters and per-series sample summaries.
     pub digest: String,
     /// The formatted bill from the run's ledger.
     pub bill: String,

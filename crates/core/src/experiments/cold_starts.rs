@@ -10,7 +10,7 @@
 
 use bytes::Bytes;
 use faasim_faas::FunctionSpec;
-use faasim_simcore::{Histogram, SimDuration};
+use faasim_simcore::{nearest_rank, SimDuration, Summary};
 
 use crate::cloud::{Cloud, CloudProfile};
 use crate::experiments::probe::ExperimentProbe;
@@ -130,9 +130,12 @@ pub fn run(params: &ColdStartParams, seed: u64) -> ColdStartResult {
         let faas = cloud.faas.clone();
         let sim = cloud.sim.clone();
         let n = params.invocations;
-        let (colds, hist) = cloud.sim.block_on(async move {
+        let (colds, stats, mut lat) = cloud.sim.block_on(async move {
             let mut colds = 0usize;
-            let mut hist = Histogram::new();
+            let mut stats = Summary::new();
+            // One sample per invocation (50 at the default params), kept
+            // so the point's p50/p99 are exact.
+            let mut lat = Vec::with_capacity(n);
             for _ in 0..n {
                 // Arrivals sparser than the keep-alive window meet a
                 // reclaimed container: reap like the platform would.
@@ -141,19 +144,20 @@ pub fn run(params: &ColdStartParams, seed: u64) -> ColdStartResult {
                 if out.cold {
                     colds += 1;
                 }
-                hist.record_duration(out.total);
+                stats.record_duration(out.total);
+                lat.push(out.total.as_secs_f64());
                 sim.sleep(gap).await;
             }
-            (colds, hist)
+            (colds, stats, lat)
         });
-        let mut hist = hist;
+        lat.sort_by(f64::total_cmp);
         probe.capture(&cloud);
         points.push(ColdStartPoint {
             inter_arrival: gap,
             cold_fraction: colds as f64 / params.invocations as f64,
-            mean_latency: SimDuration::from_secs_f64(hist.mean()),
-            p50_latency: SimDuration::from_secs_f64(hist.p50()),
-            p99_latency: SimDuration::from_secs_f64(hist.p99()),
+            mean_latency: SimDuration::from_secs_f64(stats.mean()),
+            p50_latency: SimDuration::from_secs_f64(nearest_rank(&lat, 0.50)),
+            p99_latency: SimDuration::from_secs_f64(nearest_rank(&lat, 0.99)),
         });
     }
     ColdStartResult { points, probe }

@@ -19,7 +19,7 @@ use bytes::Bytes;
 use faasim_faas::{add_queue_trigger, decode_batch, encode_batch, FunctionSpec};
 use faasim_ml::{synthetic_document, DirtyWordModel};
 use faasim_queue::QueueConfig;
-use faasim_simcore::{Histogram, SimDuration};
+use faasim_simcore::{SimDuration, Summary};
 
 use crate::cloud::{Cloud, CloudProfile};
 use crate::experiments::probe::ExperimentProbe;
@@ -263,7 +263,7 @@ fn run_lambda(
     let sim = cloud.sim.clone();
     let n = params.batches;
     let docs = make_docs(params, seed);
-    let hist = cloud.sim.block_on(async move {
+    let stats = cloud.sim.block_on(async move {
         // Warm-up: pay the one-time container cold start outside the
         // measurement, as a steady-state serving system would have.
         for _ in 0..2 {
@@ -273,7 +273,7 @@ fn run_lambda(
                 .expect("send batch");
             done_rx.recv().await.expect("handler completion");
         }
-        let mut hist = Histogram::new();
+        let mut stats = Summary::new();
         for _ in 0..n {
             let t0 = sim.now();
             queue
@@ -281,9 +281,9 @@ fn run_lambda(
                 .await
                 .expect("send batch");
             done_rx.recv().await.expect("handler completion");
-            hist.record_duration(sim.now() - t0);
+            stats.record_duration(sim.now() - t0);
         }
-        hist
+        stats
     });
     probe.capture(&cloud);
     Deployment {
@@ -292,8 +292,8 @@ fn run_lambda(
         } else {
             "Lambda + S3 model"
         },
-        mean_batch_latency: SimDuration::from_secs_f64(hist.mean()),
-        batches: hist.count(),
+        mean_batch_latency: SimDuration::from_secs_f64(stats.mean()),
+        batches: stats.count(),
     }
 }
 
@@ -315,8 +315,8 @@ fn run_ec2_sqs(
     let n = params.batches;
     let per_doc = params.per_doc_ref_work;
     let docs = make_docs(params, seed);
-    let hist = cloud.sim.block_on(async move {
-        let mut hist = Histogram::new();
+    let stats = cloud.sim.block_on(async move {
+        let mut stats = Summary::new();
         for _ in 0..n {
             queue
                 .send_batch(&producer, "in", docs.clone())
@@ -336,18 +336,18 @@ fn run_ec2_sqs(
             }
             let receipts = got.into_iter().map(|m| m.receipt).collect();
             queue.delete_batch(&host, receipts).await.expect("delete");
-            hist.record_duration(sim.now() - t0);
+            stats.record_duration(sim.now() - t0);
         }
-        hist
+        stats
     });
     vm.terminate();
-    let mean = SimDuration::from_secs_f64(hist.mean());
+    let mean = SimDuration::from_secs_f64(stats.mean());
     probe.capture(&cloud);
     (
         Deployment {
             label: "EC2 + SQS",
             mean_batch_latency: mean,
-            batches: hist.count(),
+            batches: stats.count(),
         },
         mean,
     )
@@ -383,8 +383,8 @@ fn run_ec2_zmq(
     let sim = cloud.sim.clone();
     let n = params.batches;
     let docs = make_docs(params, seed);
-    let hist_cell = Rc::new(RefCell::new(Histogram::new()));
-    let hc = hist_cell.clone();
+    let stats_cell = Rc::new(RefCell::new(Summary::new()));
+    let hc = stats_cell.clone();
     cloud.sim.block_on(async move {
         for _ in 0..n {
             let t0 = sim.now();
@@ -400,14 +400,14 @@ fn run_ec2_zmq(
     });
     server.terminate();
     client.terminate();
-    let hist = hist_cell.borrow();
-    let mean = SimDuration::from_secs_f64(hist.mean());
+    let stats = stats_cell.borrow();
+    let mean = SimDuration::from_secs_f64(stats.mean());
     probe.capture(&cloud);
     (
         Deployment {
             label: "EC2 + ZeroMQ",
             mean_batch_latency: mean,
-            batches: hist.count(),
+            batches: stats.count(),
         },
         mean,
     )

@@ -7,7 +7,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use faasim_faas::FunctionSpec;
 use faasim_kv::Consistency;
-use faasim_simcore::{Histogram, SimDuration};
+use faasim_simcore::{SimDuration, Summary};
 
 use crate::cloud::{Cloud, CloudProfile};
 use crate::experiments::probe::ExperimentProbe;
@@ -150,22 +150,22 @@ pub fn run(params: &Table1Params, seed: u64) -> Table1Result {
         let faas = cloud.faas.clone();
         let p = payload.clone();
         let n = params.invocations;
-        let hist = cloud.sim.block_on(async move {
+        let stats = cloud.sim.block_on(async move {
             // Warm the container outside the measurement; across the
             // paper's 1,000-call average the one cold start washes out.
             faas.invoke("noop", p.clone()).await;
-            let mut hist = Histogram::new();
+            let mut stats = Summary::new();
             for _ in 0..n {
                 let out = faas.invoke("noop", p.clone()).await;
                 out.result.expect("noop cannot fail");
-                hist.record_duration(out.total);
+                stats.record_duration(out.total);
             }
-            hist
+            stats
         });
         rows.push(Table1Row {
             label: "Func. Invoc. (1KB)",
-            mean: SimDuration::from_secs_f64(hist.mean()),
-            samples: hist.count(),
+            mean: SimDuration::from_secs_f64(stats.mean()),
+            samples: stats.count(),
         });
     }
 
@@ -174,11 +174,11 @@ pub fn run(params: &Table1Params, seed: u64) -> Table1Result {
         ("Lambda I/O (S3)", Medium::Blob),
         ("Lambda I/O (DynamoDB)", Medium::Kv),
     ] {
-        let hist = lambda_io(&cloud, medium, params.io_trials, payload.clone());
+        let stats = lambda_io(&cloud, medium, params.io_trials, payload.clone());
         rows.push(Table1Row {
             label,
-            mean: SimDuration::from_secs_f64(hist.mean()),
-            samples: hist.count(),
+            mean: SimDuration::from_secs_f64(stats.mean()),
+            samples: stats.count(),
         });
     }
 
@@ -195,8 +195,8 @@ pub fn run(params: &Table1Params, seed: u64) -> Table1Result {
         let p = payload.clone();
         let n = params.io_trials;
         let key = format!("ec2-{label}");
-        let hist = cloud.sim.block_on(async move {
-            let mut hist = Histogram::new();
+        let stats = cloud.sim.block_on(async move {
+            let mut stats = Summary::new();
             for _ in 0..n {
                 let t0 = sim.now();
                 match medium {
@@ -211,15 +211,15 @@ pub fn run(params: &Table1Params, seed: u64) -> Table1Result {
                             .unwrap();
                     }
                 }
-                hist.record_duration(sim.now() - t0);
+                stats.record_duration(sim.now() - t0);
             }
-            hist
+            stats
         });
         vm.terminate();
         rows.push(Table1Row {
             label,
-            mean: SimDuration::from_secs_f64(hist.mean()),
-            samples: hist.count(),
+            mean: SimDuration::from_secs_f64(stats.mean()),
+            samples: stats.count(),
         });
     }
 
@@ -238,18 +238,18 @@ pub fn run(params: &Table1Params, seed: u64) -> Table1Result {
         });
         let p = payload.clone();
         let n = params.rtt_trials;
-        let hist = cloud.sim.block_on(async move {
-            let mut hist = Histogram::new();
+        let stats = cloud.sim.block_on(async move {
+            let mut stats = Summary::new();
             for _ in 0..n {
                 let (_, rtt) = sa.request_timed(to, p.clone()).await.unwrap();
-                hist.record_duration(rtt);
+                stats.record_duration(rtt);
             }
-            hist
+            stats
         });
         rows.push(Table1Row {
             label: "EC2 NW (0MQ)",
-            mean: SimDuration::from_secs_f64(hist.mean()),
-            samples: hist.count(),
+            mean: SimDuration::from_secs_f64(stats.mean()),
+            samples: stats.count(),
         });
     }
 
@@ -261,8 +261,8 @@ pub fn run(params: &Table1Params, seed: u64) -> Table1Result {
 /// Issue `trials` write+read pairs from inside Lambda function bodies,
 /// re-invoking as the 15-minute lifetime runs out (the paper's
 /// "long-running function" driver).
-fn lambda_io(cloud: &Cloud, medium: Medium, trials: usize, payload: Bytes) -> Histogram {
-    let results: Rc<RefCell<Histogram>> = Rc::new(RefCell::new(Histogram::new()));
+fn lambda_io(cloud: &Cloud, medium: Medium, trials: usize, payload: Bytes) -> Summary {
+    let results: Rc<RefCell<Summary>> = Rc::new(RefCell::new(Summary::new()));
     let fn_name = match medium {
         Medium::Blob => "io-blob",
         Medium::Kv => "io-kv",

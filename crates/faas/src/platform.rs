@@ -726,7 +726,7 @@ impl FaasPlatform {
     }
 
     /// Invoke via the queue-trigger path (adds the event-source dispatch
-    /// overhead). Used by [`crate::trigger`].
+    /// overhead). Used by [`add_queue_trigger`](crate::add_queue_trigger).
     pub async fn invoke_triggered(&self, func: &str, payload: impl Into<Payload>) -> InvokeOutcome {
         self.invoke_inner(func, payload.into(), true).await
     }

@@ -7,15 +7,15 @@
 //! [`crate::Aggregate`] gets its own kernel behind the [`ScanKernel`]
 //! trait:
 //!
-//! - [`Aggregate::CountAll`](crate::Aggregate::CountAll) is pure
+//! - [`Aggregate::CountAll`] is pure
 //!   line-count arithmetic: zero allocation, zero per-line state;
-//! - [`Aggregate::CountMatching`](crate::Aggregate::CountMatching) is a
+//! - [`Aggregate::CountMatching`] is a
 //!   byte-level substring test per line run — no histogram;
-//! - [`Aggregate::GroupCount`](crate::Aggregate::GroupCount) keys only
+//! - [`Aggregate::GroupCount`] keys only
 //!   the extracted field *value*, never the whole line;
-//! - [`Aggregate::SumField`](crate::Aggregate::SumField) keeps a running
+//! - [`Aggregate::SumField`] keeps a running
 //!   sum and a seen-flag — no map at all;
-//! - [`Aggregate::Exists`](crate::Aggregate::Exists) flips a bool and
+//! - [`Aggregate::Exists`] flips a bool and
 //!   **saturates**, letting the pipeline cancel unfetched partitions.
 //!
 //! Kernels consume *line runs* — `(line, multiplicity)` visits from the

@@ -16,8 +16,9 @@
 //!   draws from an independently derived named stream.
 //! - **Max–min fair bandwidth links** ([`FairShareLink`]): the contention
 //!   model behind the paper's NIC-sharing results.
-//! - **Metrics** ([`Recorder`], [`Histogram`]): exact-sample statistics
-//!   for the experiment harnesses.
+//! - **Metrics** ([`Recorder`], [`Summary`]): counters and running
+//!   count/sum/min/max per series, so recorder memory does not grow with
+//!   run length; [`nearest_rank`] is the one nearest-rank percentile rule.
 //!
 //! ## Example
 //!
@@ -50,7 +51,9 @@ pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use executor::{JoinHandle, Sim, SimProfile, SimStats, Sleep, TaskId, YieldNow};
 pub use future_util::{join2, join3, join_all, select2, Either, LocalBoxFuture};
 pub use link::{gbps, mbps, mbytes_per_sec, Bps, FairShareLink, Transfer};
-pub use metrics::{CounterId, HistId, Histogram, LazyCounter, LazyHist, Recorder};
+pub use metrics::{
+    nearest_rank, nearest_rank_index, CounterId, HistId, LazyCounter, LazyHist, Recorder, Summary,
+};
 pub use rng::{LatencyModel, SimRng};
 pub use sync::{
     channel, oneshot, Acquire, Barrier, BarrierWait, Canceled, Notified, Notify, OneshotReceiver,

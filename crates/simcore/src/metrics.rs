@@ -1,10 +1,13 @@
-//! Measurement collection: counters, gauges, and sample histograms.
+//! Measurement collection: counters and running sample summaries.
 //!
-//! Experiments record latencies and throughputs into a [`Recorder`], then
-//! summarize them into the tables printed by the bench harnesses. The
-//! histogram keeps raw samples (experiments here record at most a few
-//! hundred thousand), which makes quantiles exact and the determinism
-//! tests trivial: identical runs produce identical sample vectors.
+//! Experiments record latencies and throughputs into a [`Recorder`],
+//! which keeps a running [`Summary`] per series: count, sum, min and max,
+//! so its memory is one entry per series however many samples stream
+//! through. Sums accumulate in insertion order, which makes the digest's
+//! means bit-identical across same-seed runs. Code that needs a
+//! percentile sorts its own samples and reads them with
+//! [`nearest_rank`], or streams them through the trace crate's
+//! `QuantileSketch`; both use the one rank rule, [`nearest_rank_index`].
 //!
 //! Metric names are interned: the first `record`/`add` under a name pays
 //! one allocation to register it, and every subsequent hit is a hash
@@ -19,25 +22,42 @@ use std::rc::Rc;
 
 use crate::time::SimDuration;
 
-/// An exact-sample histogram.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Histogram {
-    samples: Vec<f64>,
-    sorted: bool,
+/// Running count, sum, min and max of a stream of samples.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Summary {
+    count: usize,
+    sum: f64,
+    min: f64,
+    max: f64,
 }
 
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Histogram {
-        Histogram::default()
+impl Default for Summary {
+    fn default() -> Summary {
+        Summary::new()
+    }
+}
+
+impl Summary {
+    /// An empty summary.
+    pub fn new() -> Summary {
+        Summary {
+            count: 0,
+            // `Iterator::sum` over `f64` starts from -0.0; starting there
+            // too keeps `mean` bit-identical to summing a sample vector.
+            sum: -0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+        }
     }
 
     /// Record one sample. Non-finite samples are rejected with a panic —
     /// they always indicate a modeling bug.
     pub fn record(&mut self, v: f64) {
-        assert!(v.is_finite(), "histogram sample must be finite, got {v}");
-        self.samples.push(v);
-        self.sorted = false;
+        assert!(v.is_finite(), "summary sample must be finite, got {v}");
+        self.count += 1;
+        self.sum += v;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
     }
 
     /// Record a duration in seconds.
@@ -47,124 +67,53 @@ impl Histogram {
 
     /// Number of samples.
     pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.count
     }
 
     /// Arithmetic mean; 0 when empty.
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum / self.count as f64
         }
-        self.samples.iter().sum::<f64>() / self.samples.len() as f64
-    }
-
-    /// Sample standard deviation; 0 with fewer than two samples.
-    pub fn std_dev(&self) -> f64 {
-        let n = self.samples.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        let var = self
-            .samples
-            .iter()
-            .map(|x| (x - mean) * (x - mean))
-            .sum::<f64>()
-            / (n - 1) as f64;
-        var.sqrt()
     }
 
     /// Smallest sample; 0 when empty.
     pub fn min(&self) -> f64 {
-        self.samples
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
-            .min(f64::INFINITY)
-            .pipe_finite()
+        if self.count == 0 {
+            0.0
+        } else {
+            self.min
+        }
     }
 
     /// Largest sample; 0 when empty.
     pub fn max(&self) -> f64 {
-        self.samples
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-            .pipe_finite()
-    }
-
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-            self.sorted = true;
-        }
-    }
-
-    /// Quantile `q in [0,1]` by nearest-rank on sorted samples; 0 when empty.
-    pub fn quantile(&mut self, q: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.ensure_sorted();
-        let q = q.clamp(0.0, 1.0);
-        let idx = ((self.samples.len() as f64 - 1.0) * q).round() as usize;
-        self.samples[idx]
-    }
-
-    /// Median.
-    pub fn p50(&mut self) -> f64 {
-        self.quantile(0.50)
-    }
-
-    /// 95th percentile.
-    pub fn p95(&mut self) -> f64 {
-        self.quantile(0.95)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&mut self) -> f64 {
-        self.quantile(0.99)
-    }
-
-    /// Sum of all samples.
-    pub fn total(&self) -> f64 {
-        self.samples.iter().sum()
-    }
-
-    /// Immutable view of the raw samples (insertion order not guaranteed
-    /// after a quantile call).
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
-    /// Merge another histogram's samples into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
-    }
-}
-
-trait PipeFinite {
-    fn pipe_finite(self) -> f64;
-}
-
-impl PipeFinite for f64 {
-    fn pipe_finite(self) -> f64 {
-        if self.is_finite() {
-            self
-        } else {
+        if self.count == 0 {
             0.0
+        } else {
+            self.max
         }
     }
 }
 
-/// Interned handle to a histogram series (see [`Recorder::hist_id`]).
+/// Index of the nearest-rank `q`-quantile among `len > 0` sorted values:
+/// `round((len - 1) * q)`, with `q` clamped to `[0, 1]`.
+pub fn nearest_rank_index(len: usize, q: f64) -> usize {
+    ((len - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize
+}
+
+/// The nearest-rank `q`-quantile of ascending `sorted`; 0 when empty.
+pub fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        0.0
+    } else {
+        sorted[nearest_rank_index(sorted.len(), q)]
+    }
+}
+
+/// Interned handle to a summary series (see [`Recorder::hist_id`]).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct HistId(u32);
 
@@ -217,8 +166,8 @@ impl LazyCounter {
     }
 }
 
-/// A histogram handle that interns its name on first sample; the
-/// histogram twin of [`LazyCounter`], with the same digest rationale.
+/// A summary handle that interns its name on first sample; the
+/// summary twin of [`LazyCounter`], with the same digest rationale.
 pub struct LazyHist {
     name: &'static str,
     id: Cell<Option<HistId>>,
@@ -309,7 +258,7 @@ impl<T: Default> Series<T> {
     }
 }
 
-/// A shared registry of named histograms and counters.
+/// A shared registry of named summaries and counters.
 ///
 /// Names are free-form; the convention in this workspace is
 /// `"<service>.<operation>"`, e.g. `"blob.get"` or `"faas.invoke.cold"`.
@@ -320,7 +269,7 @@ pub struct Recorder {
 
 #[derive(Default)]
 struct RecorderInner {
-    histograms: Series<Histogram>,
+    summaries: Series<Summary>,
     counters: Series<u64>,
 }
 
@@ -330,10 +279,10 @@ impl Recorder {
         Recorder::default()
     }
 
-    /// Interned handle for histogram `name`; lets hot loops skip the
+    /// Interned handle for summary `name`; lets hot loops skip the
     /// per-record name lookup entirely via [`Recorder::record_id`].
     pub fn hist_id(&self, name: &str) -> HistId {
-        HistId(self.inner.borrow_mut().histograms.intern(name))
+        HistId(self.inner.borrow_mut().summaries.intern(name))
     }
 
     /// Interned handle for counter `name` (see [`Recorder::add_id`]).
@@ -344,13 +293,13 @@ impl Recorder {
     /// Record a floating-point sample under `name`.
     pub fn record(&self, name: &str, v: f64) {
         let mut inner = self.inner.borrow_mut();
-        let id = inner.histograms.intern(name);
-        inner.histograms.values[id as usize].record(v);
+        let id = inner.summaries.intern(name);
+        inner.summaries.values[id as usize].record(v);
     }
 
     /// Record a sample under a pre-interned handle — no name lookup.
     pub fn record_id(&self, id: HistId, v: f64) {
-        self.inner.borrow_mut().histograms.values[id.0 as usize].record(v);
+        self.inner.borrow_mut().summaries.values[id.0 as usize].record(v);
     }
 
     /// Record a duration sample (stored in seconds) under `name`.
@@ -395,26 +344,6 @@ impl Recorder {
             .unwrap_or(0)
     }
 
-    /// Snapshot of the histogram `name` (empty if never touched).
-    pub fn histogram(&self, name: &str) -> Histogram {
-        self.inner
-            .borrow()
-            .histograms
-            .get(name)
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// Mean of histogram `name` in seconds, as a [`SimDuration`].
-    pub fn mean_duration(&self, name: &str) -> SimDuration {
-        SimDuration::from_secs_f64(self.histogram(name).mean())
-    }
-
-    /// All histogram names with at least one sample, sorted.
-    pub fn histogram_names(&self) -> Vec<String> {
-        self.inner.borrow().histograms.sorted_names()
-    }
-
     /// All counter names, sorted.
     pub fn counter_names(&self) -> Vec<String> {
         self.inner.borrow().counters.sorted_names()
@@ -424,51 +353,8 @@ impl Recorder {
     /// invalidated; re-intern after resetting.
     pub fn reset(&self) {
         let mut inner = self.inner.borrow_mut();
-        inner.histograms.clear();
+        inner.summaries.clear();
         inner.counters.clear();
-    }
-
-    /// A human-oriented summary table: one row per histogram with count,
-    /// mean, p50/p95/p99 and min/max (values in the units recorded —
-    /// durations are seconds), followed by the counters.
-    pub fn summary(&self) -> String {
-        use fmt::Write;
-        let inner = self.inner.borrow();
-        let mut out = String::new();
-        let hist_ids = inner.histograms.sorted_ids();
-        if !hist_ids.is_empty() {
-            writeln!(
-                out,
-                "{:<28} {:>8} {:>12} {:>12} {:>12} {:>12}",
-                "histogram", "n", "mean", "p50", "p95", "p99"
-            )
-            .unwrap();
-            for id in hist_ids {
-                let name = &inner.histograms.names[id as usize];
-                let mut h = inner.histograms.values[id as usize].clone();
-                writeln!(
-                    out,
-                    "{:<28} {:>8} {:>12.6} {:>12.6} {:>12.6} {:>12.6}",
-                    name,
-                    h.count(),
-                    h.mean(),
-                    h.p50(),
-                    h.p95(),
-                    h.p99()
-                )
-                .unwrap();
-            }
-        }
-        let counter_ids = inner.counters.sorted_ids();
-        if !counter_ids.is_empty() {
-            writeln!(out, "{:<28} {:>8}", "counter", "value").unwrap();
-            for id in counter_ids {
-                let name = &inner.counters.names[id as usize];
-                let count = inner.counters.values[id as usize];
-                writeln!(out, "{name:<28} {count:>8}").unwrap();
-            }
-        }
-        out
     }
 
     /// A plain-text digest of everything recorded, for debugging and for
@@ -482,16 +368,16 @@ impl Recorder {
             let count = inner.counters.values[id as usize];
             writeln!(out, "counter {name} = {count}").unwrap();
         }
-        for id in inner.histograms.sorted_ids() {
-            let name = &inner.histograms.names[id as usize];
-            let h = &inner.histograms.values[id as usize];
+        for id in inner.summaries.sorted_ids() {
+            let name = &inner.summaries.names[id as usize];
+            let s = &inner.summaries.values[id as usize];
             writeln!(
                 out,
                 "hist {name}: n={} mean={:.9} min={:.9} max={:.9}",
-                h.count(),
-                h.mean(),
-                h.min(),
-                h.max()
+                s.count(),
+                s.mean(),
+                s.min(),
+                s.max()
             )
             .unwrap();
         }
@@ -502,68 +388,76 @@ impl Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
-    fn empty_histogram_is_safe() {
-        let mut h = Histogram::new();
-        assert_eq!(h.count(), 0);
-        assert!(h.is_empty());
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.std_dev(), 0.0);
-        assert_eq!(h.min(), 0.0);
-        assert_eq!(h.max(), 0.0);
-        assert_eq!(h.p50(), 0.0);
+    fn empty_summary_is_safe() {
+        let s = Summary::new();
+        assert_eq!(s.count(), 0);
+        assert_eq!(s.mean(), 0.0);
+        assert_eq!(s.min(), 0.0);
+        assert_eq!(s.max(), 0.0);
     }
 
     #[test]
     fn basic_statistics() {
-        let mut h = Histogram::new();
+        let mut s = Summary::new();
         for v in [1.0, 2.0, 3.0, 4.0, 5.0] {
-            h.record(v);
+            s.record(v);
         }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.mean(), 3.0);
-        assert_eq!(h.min(), 1.0);
-        assert_eq!(h.max(), 5.0);
-        assert_eq!(h.p50(), 3.0);
-        assert_eq!(h.total(), 15.0);
-        assert!((h.std_dev() - (2.5f64).sqrt()).abs() < 1e-12);
+        assert_eq!(s.count(), 5);
+        assert_eq!(s.mean(), 3.0);
+        assert_eq!(s.min(), 1.0);
+        assert_eq!(s.max(), 5.0);
     }
 
     #[test]
     fn quantiles_nearest_rank() {
-        let mut h = Histogram::new();
-        for v in 1..=100 {
-            h.record(v as f64);
-        }
-        assert_eq!(h.quantile(0.0), 1.0);
-        assert_eq!(h.quantile(1.0), 100.0);
-        assert_eq!(h.p95(), 95.0);
-        assert_eq!(h.p99(), 99.0);
+        let sorted: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(nearest_rank(&sorted, 0.0), 1.0);
+        assert_eq!(nearest_rank(&sorted, 0.5), 51.0);
+        assert_eq!(nearest_rank(&sorted, 1.0), 100.0);
+        assert_eq!(nearest_rank(&sorted, 0.95), 95.0);
+        assert_eq!(nearest_rank(&sorted, 0.99), 99.0);
         // Out-of-range q clamps.
-        assert_eq!(h.quantile(2.0), 100.0);
-        assert_eq!(h.quantile(-1.0), 1.0);
+        assert_eq!(nearest_rank(&sorted, 2.0), 100.0);
+        assert_eq!(nearest_rank(&sorted, -1.0), 1.0);
+        assert_eq!(nearest_rank(&[], 0.5), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "finite")]
     fn non_finite_sample_panics() {
-        Histogram::new().record(f64::NAN);
+        Summary::new().record(f64::NAN);
+    }
+
+    proptest! {
+        /// The running summary agrees bit for bit with statistics taken
+        /// over the kept sample vector.
+        #[test]
+        fn summary_matches_sample_vector(
+            samples in prop::collection::vec(0.0f64..1e6, 0..200),
+        ) {
+            let mut s = Summary::new();
+            for &v in &samples {
+                s.record(v);
+            }
+            prop_assert_eq!(s.count(), samples.len());
+            if samples.is_empty() {
+                prop_assert_eq!(s.mean().to_bits(), 0.0f64.to_bits());
+            } else {
+                let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+                let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
+                let max = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                prop_assert_eq!(s.mean().to_bits(), mean.to_bits());
+                prop_assert_eq!(s.min().to_bits(), min.to_bits());
+                prop_assert_eq!(s.max().to_bits(), max.to_bits());
+            }
+        }
     }
 
     #[test]
-    fn merge_combines_samples() {
-        let mut a = Histogram::new();
-        a.record(1.0);
-        let mut b = Histogram::new();
-        b.record(3.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean(), 2.0);
-    }
-
-    #[test]
-    fn recorder_counters_and_histograms() {
+    fn recorder_counters_and_summaries() {
         let r = Recorder::new();
         r.incr("faas.invocations");
         r.add("faas.invocations", 2);
@@ -572,13 +466,12 @@ mod tests {
         r.record_duration("blob.put", SimDuration::from_millis(53));
         assert_eq!(r.counter("faas.invocations"), 3);
         assert_eq!(r.counter("missing"), 0);
-        assert_eq!(r.histogram("blob.get").count(), 2);
-        assert!((r.histogram("blob.get").mean() - 0.06).abs() < 1e-12);
         assert_eq!(
-            r.mean_duration("blob.put"),
-            SimDuration::from_millis(53)
+            r.digest(),
+            "counter faas.invocations = 3\n\
+             hist blob.get: n=2 mean=0.060000000 min=0.050000000 max=0.070000000\n\
+             hist blob.put: n=1 mean=0.053000000 min=0.053000000 max=0.053000000\n"
         );
-        assert_eq!(r.histogram_names(), vec!["blob.get", "blob.put"]);
         assert_eq!(r.counter_names(), vec!["faas.invocations"]);
     }
 
@@ -595,19 +488,6 @@ mod tests {
         r.reset();
         assert_eq!(r.counter("x"), 0);
         assert!(r.digest().is_empty());
-    }
-
-    #[test]
-    fn summary_renders_all_series() {
-        let r = Recorder::new();
-        r.record("lat", 0.1);
-        r.record("lat", 0.3);
-        r.incr("hits");
-        let s = r.summary();
-        assert!(s.contains("lat"));
-        assert!(s.contains("hits"));
-        assert!(s.contains("p99"));
-        assert!(Recorder::new().summary().is_empty());
     }
 
     #[test]
@@ -629,8 +509,12 @@ mod tests {
         r.incr_id(c);
         r.add_id(c, 2);
         r.add("hits", 4);
-        assert_eq!(r.histogram("lat").count(), 3);
-        assert_eq!(r.histogram("lat").mean(), 3.0);
+        assert!(
+            r.digest()
+                .contains("hist lat: n=3 mean=3.000000000 min=1.000000000 max=5.000000000"),
+            "{}",
+            r.digest()
+        );
         assert_eq!(r.counter("hits"), 7);
         // Re-interning the same name yields the same handle.
         assert_eq!(r.hist_id("lat"), h);
@@ -651,7 +535,6 @@ mod tests {
         let b = d.find("counter b").unwrap();
         let m = d.find("counter m").unwrap();
         assert!(b < m, "{d}");
-        assert_eq!(r.histogram_names(), vec!["aaa", "zzz"]);
         assert_eq!(r.counter_names(), vec!["b", "m"]);
     }
 }

@@ -20,7 +20,7 @@ use faasim::{Cloud, CloudProfile};
 use faasim_gateway::{Gateway, GatewayConfig, GatewayError, RetryingGateway, TenantConfig};
 use faasim_payload::Payload;
 use faasim_resilience::{BreakerConfig, Deadline, RetryError, RetryPolicy, RetryingInvoker};
-use faasim_simcore::{Semaphore, SimDuration, SimProfile, SimTime};
+use faasim_simcore::{nearest_rank, Semaphore, SimDuration, SimProfile, SimTime, Summary};
 
 use crate::sketch::QuantileSketch;
 use crate::workload::{
@@ -46,9 +46,10 @@ pub struct ReplayConfig {
     /// Materialize at most this many raw latency samples (in completion
     /// order) into [`ReplayOutcome::latencies`]. Percentiles always come
     /// from the bounded sketch; this cap only exists so differential
-    /// tests can compare sketch estimates against exact ranks. `0` (the
-    /// default) keeps replay memory bounded by `max_in_flight +
-    /// O(apps + functions)` regardless of trace length.
+    /// tests can compare sketch estimates against exact ranks. At `0`
+    /// (the default) replay memory is bounded by `max_in_flight +
+    /// O(apps + functions)` regardless of trace length: the sketches and
+    /// the recorder's per-series summaries keep no samples.
     pub latency_sample_cap: usize,
     /// Route every invocation through the multi-tenant gateway tier,
     /// sized by this recipe; `None` invokes the platform directly.
@@ -153,7 +154,39 @@ impl ReplayConfig {
             ..ReplayConfig::small()
         }
     }
+
+    /// Reject knob values the replay cannot run with.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.reap_every == SimDuration::ZERO {
+            return Err(ConfigError::ZeroReapInterval);
+        }
+        if !(self.sketch_alpha > 0.0 && self.sketch_alpha < 1.0) {
+            return Err(ConfigError::SketchAlpha(self.sketch_alpha));
+        }
+        Ok(())
+    }
 }
+
+/// A [`ReplayConfig`] the replay cannot run with.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ConfigError {
+    /// `reap_every` is zero: the reaper would re-arm at the current
+    /// instant forever and simulated time would never advance.
+    ZeroReapInterval,
+    /// `sketch_alpha` is outside `(0, 1)` or NaN.
+    SketchAlpha(f64),
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::ZeroReapInterval => write!(f, "reap_every must be positive"),
+            ConfigError::SketchAlpha(a) => write!(f, "sketch_alpha must be in (0, 1), got {a}"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// What a replay measured. All fields are plain numbers, so reports can
 /// be compared bit-for-bit across runs — the determinism harness does.
@@ -400,21 +433,12 @@ pub struct ReplayOutcome {
     pub latencies: Vec<f64>,
 }
 
-struct AppAgg {
-    completed: u64,
-    lat_sum: f64,
-}
-
-struct TenantAgg {
-    sketch: QuantileSketch,
-    completed: u64,
-    lat_sum: f64,
-}
-
 struct Stats {
     sketch: QuantileSketch,
-    per_app: Vec<AppAgg>,
-    per_tenant: Vec<TenantAgg>,
+    /// Per-app latency summaries (fairness spread of the means).
+    per_app: Vec<Summary>,
+    /// Per-tenant latency sketches (tenant means and p99s).
+    per_tenant: Vec<QuantileSketch>,
     seen_funcs: Vec<bool>,
     succeeded: u64,
     failed: u64,
@@ -463,7 +487,8 @@ fn final_err_was_shed(err: &RetryError<GatewayError>) -> bool {
 /// Run `cfg` at `seed`, applying `chaos` to the freshly built cloud
 /// before any traffic flows (pass `&|_| {}` for a fault-free replay —
 /// the hook keeps this crate independent of the chaos crate while its
-/// `FaultPlan`s slot straight in).
+/// `FaultPlan`s slot straight in). Panics on an invalid `cfg`, as
+/// [`replay_with`] does.
 pub fn replay(cfg: &ReplayConfig, seed: u64, chaos: &dyn Fn(&Cloud)) -> ReplayOutcome {
     replay_with(cfg, seed, chaos, &mut |_| {})
 }
@@ -471,12 +496,19 @@ pub fn replay(cfg: &ReplayConfig, seed: u64, chaos: &dyn Fn(&Cloud)) -> ReplayOu
 /// Like [`replay`], but also hands the quiesced cloud to `finish` after
 /// the last request completes — the hook the chaos harness uses to run
 /// its cross-service invariant checks before the cloud is dropped.
+///
+/// # Panics
+/// Panics with the [`ConfigError`] if `cfg` fails
+/// [`ReplayConfig::validate`].
 pub fn replay_with(
     cfg: &ReplayConfig,
     seed: u64,
     chaos: &dyn Fn(&Cloud),
     finish: &mut dyn FnMut(&Cloud),
 ) -> ReplayOutcome {
+    if let Err(err) = cfg.validate() {
+        panic!("invalid ReplayConfig: {err}");
+    }
     let cloud = Cloud::new(cfg.profile.clone(), seed);
     chaos(&cloud);
     let sim = cloud.sim.clone();
@@ -518,19 +550,11 @@ pub fn replay_with(
     let funcs_per_app = cfg.trace.funcs_per_app.max(1);
     let stats = Stats {
         sketch: QuantileSketch::new(cfg.sketch_alpha),
-        per_app: (0..cfg.trace.apps)
-            .map(|_| AppAgg {
-                completed: 0,
-                lat_sum: 0.0,
-            })
-            .collect(),
-        per_tenant: (0..cfg.trace.tenants.max(1))
-            .map(|_| TenantAgg {
-                sketch: QuantileSketch::new(cfg.sketch_alpha),
-                completed: 0,
-                lat_sum: 0.0,
-            })
-            .collect(),
+        per_app: vec![Summary::new(); cfg.trace.apps as usize],
+        per_tenant: vec![
+            QuantileSketch::new(cfg.sketch_alpha);
+            cfg.trace.tenants.max(1) as usize
+        ],
         seen_funcs: vec![false; (cfg.trace.apps * funcs_per_app) as usize],
         succeeded: 0,
         failed: 0,
@@ -651,13 +675,8 @@ pub fn replay_with(
                         if st.latencies.len() < ctx3.latency_cap {
                             st.latencies.push(latency);
                         }
-                        let tagg = &mut st.per_tenant[ev.tenant as usize];
-                        tagg.sketch.insert(latency);
-                        tagg.completed += 1;
-                        tagg.lat_sum += latency;
-                        let agg = &mut st.per_app[ev.app as usize];
-                        agg.completed += 1;
-                        agg.lat_sum += latency;
+                        st.per_tenant[ev.tenant as usize].insert(latency);
+                        st.per_app[ev.app as usize].record(latency);
                         st.seen_funcs[(ev.app * ctx3.funcs_per_app + ev.func) as usize] = true;
                         if ok {
                             st.succeeded += 1;
@@ -701,36 +720,22 @@ pub fn replay_with(
     let mut app_means: Vec<f64> = st
         .per_app
         .iter()
-        .filter(|a| a.completed > 0)
-        .map(|a| a.lat_sum / a.completed as f64)
+        .filter(|a| a.count() > 0)
+        .map(Summary::mean)
         .collect();
     app_means.sort_by(f64::total_cmp);
-    let rank = |q: f64| -> f64 {
-        if app_means.is_empty() {
-            0.0
-        } else {
-            app_means[((app_means.len() - 1) as f64 * q).round() as usize]
-        }
-    };
-    let (p50_app, p95_app) = (rank(0.50), rank(0.95));
+    let (p50_app, p95_app) = (nearest_rank(&app_means, 0.50), nearest_rank(&app_means, 0.95));
 
     // Tenant-level fairness: same rank statistics over per-tenant means
     // and p99s (only meaningful when traffic flowed through the gateway).
     let mut tenant_means: Vec<f64> = Vec::new();
     let mut tenant_p99s: Vec<f64> = Vec::new();
-    for agg in st.per_tenant.iter().filter(|a| a.completed > 0) {
-        tenant_means.push(agg.lat_sum / agg.completed as f64);
-        tenant_p99s.push(agg.sketch.p99());
+    for sketch in st.per_tenant.iter().filter(|s| s.summary().count() > 0) {
+        tenant_means.push(sketch.mean());
+        tenant_p99s.push(sketch.p99());
     }
     tenant_means.sort_by(f64::total_cmp);
     tenant_p99s.sort_by(f64::total_cmp);
-    let trank = |v: &[f64], q: f64| -> f64 {
-        if v.is_empty() {
-            0.0
-        } else {
-            v[((v.len() - 1) as f64 * q).round() as usize]
-        }
-    };
     let gw_stats = gateway.as_ref().map(|gw| gw.stats());
     let gw_used = gw_stats.is_some();
 
@@ -777,13 +782,13 @@ pub fn replay_with(
         chaos_kills: recorder.counter("faas.chaos_kills"),
         chaos_evicted: recorder.counter("faas.chaos_evicted"),
         tenants_seen: if gw_used { tenant_means.len() as u32 } else { 0 },
-        tenant_fairness_spread: if gw_used && trank(&tenant_means, 0.50) > 0.0 {
-            trank(&tenant_means, 0.95) / trank(&tenant_means, 0.50)
+        tenant_fairness_spread: if gw_used && nearest_rank(&tenant_means, 0.50) > 0.0 {
+            nearest_rank(&tenant_means, 0.95) / nearest_rank(&tenant_means, 0.50)
         } else {
             0.0
         },
-        tenant_p99_max: if gw_used { trank(&tenant_p99s, 1.0) } else { 0.0 },
-        tenant_p99_median: if gw_used { trank(&tenant_p99s, 0.50) } else { 0.0 },
+        tenant_p99_max: if gw_used { nearest_rank(&tenant_p99s, 1.0) } else { 0.0 },
+        tenant_p99_median: if gw_used { nearest_rank(&tenant_p99s, 0.50) } else { 0.0 },
         gw_offered: gw_stats.as_ref().map_or(0, |s| s.totals.offered),
         gw_admitted: gw_stats.as_ref().map_or(0, |s| s.totals.admitted),
         gw_rate_shed: gw_stats.as_ref().map_or(0, |s| s.totals.rate_shed()),

@@ -12,6 +12,8 @@
 
 use std::collections::BTreeMap;
 
+use faasim_simcore::{nearest_rank_index, Summary};
+
 /// Smallest value tracked with relative error; anything below (including
 /// zero) lands in a dedicated zero bucket reported as `0.0`.
 const MIN_TRACKED: f64 = 1e-9;
@@ -27,10 +29,8 @@ pub struct QuantileSketch {
     /// deterministic.
     buckets: BTreeMap<i32, u64>,
     zeros: u64,
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
+    /// Exact running count, sum, min and max of the (clamped) samples.
+    summary: Summary,
 }
 
 impl QuantileSketch {
@@ -45,10 +45,7 @@ impl QuantileSketch {
             ln_gamma: gamma.ln(),
             buckets: BTreeMap::new(),
             zeros: 0,
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
+            summary: Summary::new(),
         }
     }
 
@@ -65,10 +62,7 @@ impl QuantileSketch {
     /// Record one (non-negative) sample.
     pub fn insert(&mut self, v: f64) {
         let v = if v.is_finite() { v.max(0.0) } else { 0.0 };
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
+        self.summary.record(v);
         if v < MIN_TRACKED {
             self.zeros += 1;
         } else {
@@ -77,41 +71,14 @@ impl QuantileSketch {
         }
     }
 
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples (exact, not sketched).
-    pub fn sum(&self) -> f64 {
-        self.sum
+    /// Exact count, mean, min and max of the samples recorded.
+    pub fn summary(&self) -> &Summary {
+        &self.summary
     }
 
     /// Mean of all samples (exact, not sketched).
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest sample seen (exact), `0.0` when empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample seen (exact), `0.0` when empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
+        self.summary.mean()
     }
 
     /// Number of live buckets — the sketch's memory footprint, bounded by
@@ -120,16 +87,16 @@ impl QuantileSketch {
         self.buckets.len() + usize::from(self.zeros > 0)
     }
 
-    /// Estimate the `q`-quantile using the same nearest-rank convention
-    /// as [`faasim_simcore::Histogram`], so differential tests compare
+    /// Estimate the `q`-quantile by the nearest-rank rule of
+    /// [`faasim_simcore::nearest_rank`], so differential tests compare
     /// like with like. The estimate is within `α` relative error of the
     /// sample an exact sorted-vector lookup would return.
     pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
+        let count = self.summary.count();
+        if count == 0 {
             return 0.0;
         }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((self.count - 1) as f64 * q).round() as u64;
+        let target = nearest_rank_index(count, q) as u64;
         let mut cum = self.zeros;
         if target < cum {
             return 0.0;
@@ -142,7 +109,7 @@ impl QuantileSketch {
                 return 2.0 * self.gamma.powi(idx) / (self.gamma + 1.0);
             }
         }
-        self.max()
+        self.summary.max()
     }
 
     /// Median estimate.
@@ -164,25 +131,6 @@ impl QuantileSketch {
     pub fn p999(&self) -> f64 {
         self.quantile(0.999)
     }
-
-    /// Fold another sketch into this one.
-    ///
-    /// # Panics
-    /// Panics if the two sketches were built with different `α`.
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        assert!(
-            (self.alpha - other.alpha).abs() < 1e-12,
-            "cannot merge sketches with different error bounds"
-        );
-        for (&idx, &n) in &other.buckets {
-            *self.buckets.entry(idx).or_insert(0) += n;
-        }
-        self.zeros += other.zeros;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -192,10 +140,9 @@ mod tests {
     #[test]
     fn empty_sketch_is_zero() {
         let s = QuantileSketch::with_default_error();
-        assert_eq!(s.count(), 0);
+        assert_eq!(s.summary().count(), 0);
         assert_eq!(s.quantile(0.5), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
+        assert_eq!(s.mean(), 0.0);
     }
 
     #[test]
@@ -237,27 +184,6 @@ mod tests {
         assert_eq!(s.p50(), 0.0);
         let top = s.quantile(1.0);
         assert!((top - 5.0).abs() <= 0.05 * 5.0, "top {top}");
-    }
-
-    #[test]
-    fn merge_matches_single_stream() {
-        let mut a = QuantileSketch::new(0.02);
-        let mut b = QuantileSketch::new(0.02);
-        let mut whole = QuantileSketch::new(0.02);
-        for i in 1..=1000u64 {
-            let v = (i as f64).sqrt();
-            whole.insert(v);
-            if i % 2 == 0 {
-                a.insert(v);
-            } else {
-                b.insert(v);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        for q in [0.1, 0.5, 0.95, 0.99] {
-            assert_eq!(a.quantile(q), whole.quantile(q));
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use faasim_trace::{replay, QuantileSketch, ReplayConfig};
 use proptest::prelude::*;
 
 /// Exact nearest-rank percentile, the same convention the sketch (and
-/// the recorder's histogram) uses.
+/// `faasim_simcore::nearest_rank`) uses; kept local as the reference.
 fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[((sorted.len() - 1) as f64 * q).round() as usize]
 }
